@@ -619,16 +619,16 @@ let f8 () =
                   rows :=
                     [
                       scheme; qid; string_of_int si;
-                      String.make (2 * depth) ' ' ^ a.P.an_op;
-                      string_of_int a.P.an_rows; string_of_int a.P.an_nexts;
+                      String.make (2 * depth) ' ' ^ P.annotated_op a;
+                      string_of_int a.P.an_rows; string_of_int a.P.an_batches;
                       Printf.sprintf "%.3f" ms;
                     ]
                     :: !rows;
                   entries :=
                     Printf.sprintf
                       "    {\"scheme\": %S, \"query\": %S, \"stmt\": %d, \"depth\": %d, \"op\": \
-                       %S, \"rows\": %d, \"nexts\": %d, \"ms\": %.4f}"
-                      scheme qid si depth a.P.an_op a.P.an_rows a.P.an_nexts ms
+                       %S, \"rows\": %d, \"batches\": %d, \"ms\": %.4f}"
+                      scheme qid si depth (P.annotated_op a) a.P.an_rows a.P.an_batches ms
                     :: !entries;
                   ignore sql)
                 (flatten 0 annot))
@@ -644,7 +644,7 @@ let f8 () =
     ~title:
       (Printf.sprintf
          "F8: EXPLAIN ANALYZE — per-operator actuals, scale %g (also BENCH_analyze.json)" scale)
-    ~header:[ "scheme"; "query"; "stmt"; "operator"; "rows"; "nexts"; "ms" ]
+    ~header:[ "scheme"; "query"; "stmt"; "operator"; "rows"; "batches"; "ms" ]
     (List.rev !rows)
 
 (* ------------------------------------------------------------------ *)
@@ -844,13 +844,6 @@ let f11 () =
     | None -> 3
   in
   let indexed_schemes = [ "edge"; "binary"; "interval"; "dewey"; "universal"; "inline" ] in
-  let median xs =
-    let a = Array.of_list (List.sort compare xs) in
-    let n = Array.length a in
-    if n = 0 then 0.
-    else if n mod 2 = 1 then a.(n / 2)
-    else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-  in
   let entries = ref [] in
   let rows =
     List.concat_map
@@ -882,11 +875,11 @@ let f11 () =
             let runs = List.init repeat (fun _ -> (timed ~bulk:false, timed ~bulk:true)) in
             let row_store = fst (fst (List.hd runs)) in
             let bulk_store = fst (snd (List.hd runs)) in
-            let t_row = median (List.map (fun ((_, t), _) -> t) runs) in
-            let t_bulk = median (List.map (fun (_, (_, t)) -> t) runs) in
+            let t_row = Tables.median (List.map (fun ((_, t), _) -> t) runs) in
+            let t_bulk = Tables.median (List.map (fun (_, (_, t)) -> t) runs) in
             let nrows = (Store.stats bulk_store).Store.total_rows in
             let speedup =
-              median
+              Tables.median
                 (List.filter_map
                    (fun ((_, r), (_, b)) -> if b > 0. then Some (r /. b) else None)
                    runs)
@@ -936,14 +929,14 @@ let f11 () =
 
 (* ------------------------------------------------------------------ *)
 (* F12: vectorized execution and the staircase join — (a) throughput of
-   the hot relational operators under the row-at-a-time iterator versus
-   the batched interpreter, on a synthetic table big enough to keep each
-   operator hot; (b) descendant-axis workload queries on the interval
-   scheme with the staircase structural join toggled off and on (the
-   plan cache is disabled so every run replans and the toggle takes
-   effect). Answers are compared across both toggles. Written to
-   BENCH_F12.json; BENCH_F12_SCALE scales the synthetic row count and
-   the document, BENCH_F12_REPEAT the repeats. *)
+   the hot relational operators under the batched interpreter, on a
+   synthetic table big enough to keep each operator hot; (b)
+   descendant-axis workload queries on the interval scheme with the
+   staircase structural join toggled off and on (the plan cache is
+   disabled so every run replans and the toggle takes effect). Answers
+   are compared across both toggles. Written to BENCH_F12.json;
+   BENCH_F12_SCALE scales the synthetic row count and the document,
+   BENCH_F12_REPEAT the repeats. *)
 
 let f12 () =
   let scale =
@@ -956,22 +949,14 @@ let f12 () =
     | Some s -> (try int_of_string s with _ -> 3)
     | None -> 3
   in
-  let median xs =
-    let a = Array.of_list (List.sort compare xs) in
-    let n = Array.length a in
-    if n = 0 then 0.
-    else if n mod 2 = 1 then a.(n / 2)
-    else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
-  in
   let time f =
     Gc.full_major ();
     let t0 = Unix.gettimeofday () in
     let r = f () in
     (r, Unix.gettimeofday () -. t0)
   in
-  let saved_batched = Relstore.Executor.batched_on () in
   let entries = ref [] in
-  (* (a) operator throughput, iterator vs batched *)
+  (* (a) operator throughput *)
   let n = max 1_000 (int_of_float (200_000. *. scale)) in
   let db = Relstore.Database.create () in
   ignore (Relstore.Database.exec db "CREATE TABLE t (id INTEGER NOT NULL, k INTEGER, v INTEGER)");
@@ -992,39 +977,24 @@ let f12 () =
   let exec_rows =
     List.map
       (fun (op, sql) ->
-        let run batched =
-          Relstore.Executor.set_batched batched;
-          time (fun () -> Relstore.Database.query db sql)
-        in
-        ignore (run false);
-        (* one warm-up fills the plan cache: both modes time pure execution *)
-        let runs = List.init repeat (fun _ -> (snd (run false), snd (run true))) in
-        let t_iter = median (List.map fst runs) in
-        let t_bat = median (List.map snd runs) in
-        let speedup =
-          median (List.filter_map (fun (i, b) -> if b > 0. then Some (i /. b) else None) runs)
-        in
+        let run () = snd (time (fun () -> Relstore.Database.query db sql)) in
+        ignore (run ());
+        (* one warm-up fills the plan cache: the runs time pure execution *)
+        let t_bat = Tables.median (List.init repeat (fun _ -> run ())) in
         let rps = if t_bat > 0. then float_of_int n /. t_bat else 0. in
         entries :=
           Printf.sprintf
-            "    {\"kind\": \"executor\", \"op\": %S, \"rows\": %d, \"iter_ms\": %.2f, \
-             \"batched_ms\": %.2f, \"speedup\": %.2f, \"batched_rows_per_sec\": %.0f}"
-            op n (t_iter *. 1000.) (t_bat *. 1000.) speedup rps
+            "    {\"kind\": \"executor\", \"op\": %S, \"rows\": %d, \"batched_ms\": %.2f, \
+             \"batched_rows_per_sec\": %.0f}"
+            op n (t_bat *. 1000.) rps
           :: !entries;
-        [
-          op; string_of_int n; Tables.ms t_iter; Tables.ms t_bat;
-          Printf.sprintf "%.2fx" speedup; Printf.sprintf "%.0f" rps;
-        ])
+        [ op; string_of_int n; Tables.ms t_bat; Printf.sprintf "%.0f" rps ])
       op_queries
   in
-  Relstore.Executor.set_batched saved_batched;
   Tables.print
     ~title:
-      (Printf.sprintf
-         "F12a: executor throughput — row iterator vs batched interpreter, %d rows (also \
-          BENCH_F12.json)"
-         n)
-    ~header:[ "operator"; "rows"; "iter ms"; "batched ms"; "speedup"; "batched rows/s" ]
+      (Printf.sprintf "F12a: executor throughput, %d rows (also BENCH_F12.json)" n)
+    ~header:[ "operator"; "rows"; "batched ms"; "batched rows/s" ]
     exec_rows;
   (* (b) staircase join on descendant-axis workload queries *)
   let dom = auction ~scale ~seed:42 in
@@ -1043,10 +1013,10 @@ let f12 () =
           if not equal then Printf.eprintf "F12: %s staircase answers DIFFER\n" qid;
           let runs = List.init repeat (fun _ -> (snd (run false), snd (run true))) in
           Relstore.Planner.set_staircase true;
-          let t_nl = median (List.map fst runs) in
-          let t_st = median (List.map snd runs) in
+          let t_nl = Tables.median (List.map fst runs) in
+          let t_st = Tables.median (List.map snd runs) in
           let speedup =
-            median (List.filter_map (fun (a, b) -> if b > 0. then Some (a /. b) else None) runs)
+            Tables.median (List.filter_map (fun (a, b) -> if b > 0. then Some (a /. b) else None) runs)
           in
           entries :=
             Printf.sprintf
@@ -1103,13 +1073,6 @@ let f13 () =
     match Sys.getenv_opt "BENCH_F13_REPEAT" with
     | Some s -> (try int_of_string s with _ -> 3)
     | None -> 3
-  in
-  let median xs =
-    let a = Array.of_list (List.sort compare xs) in
-    let n = Array.length a in
-    if n = 0 then 0.
-    else if n mod 2 = 1 then a.(n / 2)
-    else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
   in
   let dir_counter = ref 0 in
   let rec rm_rf path =
@@ -1176,7 +1139,7 @@ let f13 () =
               rm_rf dir;
               (t_mem, t_wal, t_replay, t_ckpt, t_image, equal, nrows))
         in
-        let med f = median (List.map f runs) in
+        let med f = Tables.median (List.map f runs) in
         let t_mem = med (fun (t, _, _, _, _, _, _) -> t) in
         let t_wal = med (fun (_, t, _, _, _, _, _) -> t) in
         let t_replay = med (fun (_, _, t, _, _, _, _) -> t) in
@@ -1423,7 +1386,7 @@ let f15 () =
                     let xpath =
                       (List.find (fun q -> q.Xmlwork.Queries.qid = qid) queries).Xmlwork.Queries.xpath
                     in
-                    let got = (Storepool.Pool.query pool 0 xpath).Store.values in
+                    let got = (fst (Storepool.Pool.query pool 0 xpath)).Store.values in
                     if got <> expect then ok := false)
                   reference
               done;

@@ -30,6 +30,15 @@ let ms seconds = Printf.sprintf "%.2f" (seconds *. 1000.0)
 
 let kb bytes = Printf.sprintf "%.1f" (float_of_int bytes /. 1024.0)
 
+(* Median of a sample (mean of the middle two for an even count; 0 for
+   an empty one). *)
+let median xs =
+  let a = Array.of_list (List.sort compare xs) in
+  let n = Array.length a in
+  if n = 0 then 0.
+  else if n mod 2 = 1 then a.(n / 2)
+  else (a.((n / 2) - 1) +. a.(n / 2)) /. 2.
+
 (* Median wall-clock time of [repeat] runs of [f]; the result of the first
    run is returned so callers can validate output. *)
 let time ?(repeat = 3) f =

@@ -10,12 +10,16 @@
 # (including a durable open traced through recovery), scrape the embedded
 # observability server's /healthz and /metrics, drive the pooled data
 # plane with concurrent POST /query connections and a mid-flight POST
-# /load, lint the Prometheus exposition, and gate on the static analyzer:
-# the full Q1-Q12 workload must lint clean under every scheme.
+# /load, lint the Prometheus exposition, self-test the data-plane
+# benchmark, and gate on the static analyzer: the full Q1-Q12 workload
+# must lint clean under every scheme.
 set -eux
 
 dune build @all
 dune runtest
+# data-plane benchmark self-test: the answer oracle, percentile rule, seed
+# determinism and compare verdicts (builds perfbench; no server timing)
+python3 perfbench/run.py selftest
 dune build bench/main.exe
 dune build examples/
 dune exec bench/main.exe -- F7

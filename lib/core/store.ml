@@ -94,6 +94,33 @@ let read_scheme_file dir =
     close_in ic;
     String.trim line
 
+(* The one record constructor: a fresh, reopened, restored or replicated
+   store differs only in these arguments. Document ids continue after the
+   highest one the database already holds. *)
+let make ?metrics_label ?(validate = false) ?(indexes = true) ?(bulk = true) ~dtd ~scheme
+    ~mapping db =
+  let next_doc =
+    match (Db.query db "SELECT max(doc) FROM documents").Relstore.Executor.rows with
+    | [ [| Relstore.Value.Int m |] ] -> m + 1
+    | _ -> 0
+  in
+  {
+    db;
+    mapping;
+    scheme;
+    dtd;
+    validate;
+    indexes;
+    bulk;
+    metrics_label = fresh_label ?metrics_label scheme;
+    next_doc;
+    slow_threshold_ns = None;
+    slow_capacity = default_slow_log_capacity;
+    slow_entries = [];
+    guides = Hashtbl.create 8;
+    empty_fastpath = true;
+  }
+
 (* [validate] (only meaningful with a DTD) checks documents against the DTD
    before storing them. [durable] roots the store in a directory (paged
    checkpoints + WAL; see Database.open_durable) instead of memory. *)
@@ -119,22 +146,7 @@ let create ?dtd ?(validate = false) ?(indexes = true) ?(bulk = true) ?metrics_la
   let module M = (val mapping : Xmlshred.Mapping.MAPPING) in
   M.create_schema db;
   if indexes then M.create_indexes db;
-  {
-    db;
-    mapping;
-    scheme;
-    dtd;
-    validate;
-    indexes;
-    bulk;
-    metrics_label = fresh_label ?metrics_label scheme;
-    next_doc = 0;
-    slow_threshold_ns = None;
-    slow_capacity = default_slow_log_capacity;
-    slow_entries = [];
-    guides = Hashtbl.create 8;
-    empty_fastpath = true;
-  }
+  make ?metrics_label ~validate ~indexes ~bulk ~dtd ~scheme ~mapping db
 
 let scheme t = t.scheme
 let database t = t.db
@@ -535,27 +547,7 @@ let open_durable ?dtd ?(validate = false) ?metrics_label dir =
   let module M = (val mapping : Xmlshred.Mapping.MAPPING) in
   M.create_schema db;
   M.create_indexes db;
-  let next_doc =
-    match (Db.query db "SELECT max(doc) FROM documents").Relstore.Executor.rows with
-    | [ [| Relstore.Value.Int m |] ] -> m + 1
-    | _ -> 0
-  in
-  {
-    db;
-    mapping;
-    scheme;
-    dtd;
-    validate;
-    indexes = true;
-    bulk = true;
-    metrics_label = fresh_label ?metrics_label scheme;
-    next_doc;
-    slow_threshold_ns = None;
-    slow_capacity = default_slow_log_capacity;
-    slow_entries = [];
-    guides = Hashtbl.create 8;
-    empty_fastpath = true;
-  }
+  make ?metrics_label ~validate ~dtd ~scheme ~mapping db
 
 (* ------------------------------------------------------------------ *)
 (* Persistence: the store round-trips through the relational dump. *)
@@ -577,27 +569,7 @@ let of_snapshot ?dtd ?metrics_label snap =
   let db = Db.restore body in
   if Option.is_none (Db.find_table db "documents") then
     err "snapshot does not contain a document registry";
-  let next_doc =
-    match (Db.query db "SELECT max(doc) FROM documents").Relstore.Executor.rows with
-    | [ [| Relstore.Value.Int m |] ] -> m + 1
-    | _ -> 0
-  in
-  {
-    db;
-    mapping;
-    scheme;
-    dtd;
-    validate = false;
-    indexes = true;
-    bulk = true;
-    metrics_label = fresh_label ?metrics_label scheme;
-    next_doc;
-    slow_threshold_ns = None;
-    slow_capacity = default_slow_log_capacity;
-    slow_entries = [];
-    guides = Hashtbl.create 8;
-    empty_fastpath = true;
-  }
+  make ?metrics_label ~dtd ~scheme ~mapping db
 
 (* ------------------------------------------------------------------ *)
 (* Embedded observability server: GET /metrics /healthz /slowlog
@@ -784,24 +756,4 @@ let load ?dtd ?(validate = false) ?metrics_label ~scheme path =
   let db = Db.restore_from_file path in
   if Option.is_none (Db.find_table db "documents") then
     err "%s does not contain a document registry (not a store dump?)" path;
-  let next_doc =
-    match (Db.query db "SELECT max(doc) FROM documents").Relstore.Executor.rows with
-    | [ [| Relstore.Value.Int m |] ] -> m + 1
-    | _ -> 0
-  in
-  {
-    db;
-    mapping;
-    scheme;
-    dtd;
-    validate;
-    indexes = true;
-    bulk = true;
-    metrics_label = fresh_label ?metrics_label scheme;
-    next_doc;
-    slow_threshold_ns = None;
-    slow_capacity = default_slow_log_capacity;
-    slow_entries = [];
-    guides = Hashtbl.create 8;
-    empty_fastpath = true;
-  }
+  make ?metrics_label ~validate ~dtd ~scheme ~mapping db

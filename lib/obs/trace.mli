@@ -27,8 +27,8 @@ val enabled : unit -> bool
 
 val recording : unit -> bool
 (** True inside a trace that is being recorded — instrumentation can use
-    this to decide whether to do extra work (e.g. run the instrumented
-    executor) that only pays off when spans are kept. *)
+    this to decide whether to do extra work (e.g. turn the executor's
+    operator tree into spans) that only pays off when spans are kept. *)
 
 val with_span : ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a span. The first [with_span] of a nest roots a

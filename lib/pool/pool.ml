@@ -131,9 +131,9 @@ let discard t =
       gauge_state t;
       Condition.signal t.cond)
 
-let with_reader t f =
+let with_replica t f =
   let r = acquire t in
-  match f r.r_store with
+  match f r with
   | v ->
     release t r;
     v
@@ -141,9 +141,13 @@ let with_reader t f =
     discard t;
     raise e
 
+let with_reader t f = with_replica t (fun r -> f r.r_store)
+
+(* The epoch returned is the replica's own: the snapshot that produced the
+   answer, whatever commits landed while the query ran. *)
 let query ?analyze t doc xpath =
   Metrics.timed "pool.query" (fun () ->
-      with_reader t (fun store -> Store.query ?analyze store doc xpath))
+      with_replica t (fun r -> (Store.query ?analyze r.r_store doc xpath, r.r_epoch)))
 
 (* ------------------------------------------------------------------ *)
 (* Writer side *)
@@ -159,17 +163,24 @@ let with_primary t f = Mutex.protect t.write_lock (fun () -> f t.primary)
    lock (no writer can interleave), and installed under the pool lock as
    one assignment — readers see either the old epoch or the new one,
    never a partial image. *)
-let apply t f =
+let commit t f =
   Mutex.protect t.write_lock (fun () ->
       let v = f t.primary in
       let snap = Metrics.timed "pool.snapshot" (fun () -> Store.snapshot t.primary) in
-      Mutex.protect t.lock (fun () ->
-          t.snapshot <- snap;
-          t.epoch <- t.epoch + 1);
+      let epoch =
+        Mutex.protect t.lock (fun () ->
+            t.snapshot <- snap;
+            t.epoch <- t.epoch + 1;
+            t.epoch)
+      in
       Metrics.incr "pool.commit";
-      v)
+      (v, epoch))
 
-let load_string ?name t xml = apply t (fun store -> Store.add_string ?name store xml)
+let apply t f = fst (commit t f)
+
+(* The epoch returned is the one this load published, not whatever a
+   concurrent commit has made current since. *)
+let load_string ?name t xml = commit t (fun store -> Store.add_string ?name store xml)
 
 (* Pre-register the pool's telemetry series so a scrape of an idle pool
    already lists them. *)

@@ -62,8 +62,11 @@ val with_reader : t -> (Xmlstore.Store.t -> 'a) -> 'a
     success, discard on exception (re-raised). The permit is returned on
     every path. *)
 
-val query : ?analyze:bool -> t -> Xmlstore.Store.doc_id -> string -> Xmlstore.Store.result
-(** {!with_reader} around {!Xmlstore.Store.query}. *)
+val query :
+  ?analyze:bool -> t -> Xmlstore.Store.doc_id -> string -> Xmlstore.Store.result * int
+(** {!with_reader} around {!Xmlstore.Store.query}, plus the epoch of the
+    replica that answered — the snapshot the result comes from, even when
+    a commit lands while the query runs. *)
 
 val with_primary : t -> (Xmlstore.Store.t -> 'a) -> 'a
 (** Run [f] on the primary under the write lock {e without} publishing a
@@ -75,8 +78,9 @@ val apply : t -> (Xmlstore.Store.t -> 'a) -> 'a
 (** The writer path: run the mutation on the primary under the write
     lock, then atomically publish the committed image as a new epoch. *)
 
-val load_string : ?name:string -> t -> string -> Xmlstore.Store.doc_id
-(** {!apply} around {!Xmlstore.Store.add_string}. *)
+val load_string : ?name:string -> t -> string -> Xmlstore.Store.doc_id * int
+(** {!apply} around {!Xmlstore.Store.add_string}, plus the epoch this load
+    published (not one a concurrent commit published since). *)
 
 val declare_series : unit -> unit
 (** Pre-register the [pool.*] counter series at zero so scrapes of an

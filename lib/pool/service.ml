@@ -48,7 +48,7 @@ let query_args (req : Http.request) =
 
 let query_response pool doc xpath =
   match Pool.query pool doc xpath with
-  | r ->
+  | r, epoch ->
     json_response 200
       (Json.Obj
          [
@@ -57,7 +57,7 @@ let query_response pool doc xpath =
            ("count", Json.Num (float_of_int (List.length r.Store.values)));
            ("values", Json.List (List.map (fun v -> Json.Str v) r.Store.values));
            ("fallback", Json.Bool r.Store.fallback);
-           ("epoch", Json.Num (float_of_int (Pool.epoch pool)));
+           ("epoch", Json.Num (float_of_int epoch));
          ])
   | exception Store.Store_error msg -> bad_request "%s" msg
   | exception Xpathkit.Parser.Parse_error msg -> bad_request "bad xpath: %s" msg
@@ -66,12 +66,12 @@ let load_response pool ?name body =
   if String.length body = 0 then bad_request "POST an XML document as the request body"
   else
     match Pool.load_string ?name pool body with
-    | doc ->
+    | doc, epoch ->
       json_response 200
         (Json.Obj
            [
              ("doc", Json.Num (float_of_int doc));
-             ("epoch", Json.Num (float_of_int (Pool.epoch pool)));
+             ("epoch", Json.Num (float_of_int epoch));
            ])
     | exception Store.Store_error msg -> bad_request "%s" msg
     | exception Xmlkit.Parser.Parse_error e ->

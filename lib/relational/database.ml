@@ -352,17 +352,19 @@ let cache_stats t = Plan_cache.stats t.plan_cache
 let reset_cache_stats t = Plan_cache.reset_stats t.plan_cache
 let set_plan_cache t on = Plan_cache.set_enabled t.plan_cache on
 
-(* Every executor invocation flows through here: inside a recorded trace
-   the instrumented executor runs instead, and its operator tree is
-   bridged into the trace as child spans of the sql.execute span. *)
-let traced_run ?(params = [||]) t plan =
+(* Every executor invocation flows through here. The executor always
+   returns its operator tree; inside a recorded trace it is bridged into
+   the trace as child spans of a sql.execute span. *)
+let execute ?(params = [||]) t plan =
   Metrics.timed "db.execute" @@ fun () ->
-  if Obskit.Trace.recording () then
-    Obskit.Trace.with_span "sql.execute" (fun () ->
-        let r, annot = Executor.run_analyzed ~params (catalog t) plan in
-        Plan.record_spans annot;
-        r)
-  else Executor.run ~params (catalog t) plan
+  let run () =
+    let r, annot = Executor.run ~params (catalog t) plan in
+    Plan.record_spans annot;
+    (r, annot)
+  in
+  if Obskit.Trace.recording () then Obskit.Trace.with_span "sql.execute" run else run ()
+
+let traced_run ?params t plan = fst (execute ?params t plan)
 
 (* ------------------------------------------------------------------ *)
 
@@ -517,23 +519,23 @@ let query_prepared ?(params = [||]) t p =
   traced_run ~params t plan
 
 (* ------------------------------------------------------------------ *)
-(* EXPLAIN ANALYZE: same planning pipeline (including the plan cache), but
-   the executor wraps every operator in a counting cursor and returns the
-   executed plan with actual row counts and timings. *)
+(* EXPLAIN ANALYZE: same planning pipeline (including the plan cache) and
+   the same execution; the operator tree every run fills is returned,
+   with the planner's estimates added. *)
 
-let query_prepared_analyzed ?(params = [||]) t p =
-  let plan = prepared_plan t p in
-  Metrics.timed "db.execute" (fun () -> Executor.run_analyzed ~params (catalog t) plan)
+let execute_analyzed ?params t plan =
+  let r, annot = execute ?params t plan in
+  Planner.annotate_estimates (catalog t) annot;
+  (r, annot)
 
-let query_analyzed ?(params = [||]) t sql =
-  let run plan =
-    Metrics.timed "db.execute" (fun () -> Executor.run_analyzed ~params (catalog t) plan)
-  in
+let query_prepared_analyzed ?params t p = execute_analyzed ?params t (prepared_plan t p)
+
+let query_analyzed ?params t sql =
   match cached_plan t sql with
-  | Some plan -> run plan
+  | Some plan -> execute_analyzed ?params t plan
   | None -> (
     match parse_timed sql with
-    | Sql_ast.Select_stmt q -> run (plan_and_cache t ~text:sql q)
+    | Sql_ast.Select_stmt q -> execute_analyzed ?params t (plan_and_cache t ~text:sql q)
     | _ -> err "not a SELECT statement: %s" sql)
 
 let plan_of t sql =

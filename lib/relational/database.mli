@@ -110,10 +110,11 @@ val query_prepared : ?params:Value.t array -> t -> prepared -> Executor.result
 
 val query_analyzed :
   ?params:Value.t array -> t -> string -> Executor.result * Plan.annotated
-(** Like {!query} but every operator is instrumented: the returned
-    {!Plan.annotated} tree carries actual rows, next-calls and inclusive
-    wall-clock per operator (EXPLAIN ANALYZE). Uses the same plan cache as
-    {!query}. @raise Db_error for non-SELECT input. *)
+(** {!query} plus the executed operator tree: the same execution, whose
+    {!Plan.annotated} tree carries actual rows, batches and inclusive
+    wall-clock per operator, with the planner's estimates filled in
+    (EXPLAIN ANALYZE). Uses the same plan cache as {!query}.
+    @raise Db_error for non-SELECT input. *)
 
 val query_prepared_analyzed :
   ?params:Value.t array -> t -> prepared -> Executor.result * Plan.annotated

@@ -1,46 +1,24 @@
-(* Plan interpreter: the classic iterator (open/next/close) model, with
-   cursors represented as closures. Pipelining operators (scan, filter,
-   project, limit) stream; blocking operators (sort, hash-join build,
-   aggregate, distinct-set) materialize their input when opened. *)
+(* Plan interpreter: operators exchange batches of ~1024 rows, each
+   operator a closure returning its next batch. Pipelining operators
+   (scan, filter, project, limit, distinct, union, nested loop) stream
+   batches; blocking operators (sort, hash-join build, aggregate,
+   staircase join) materialize their input when opened. Every opened
+   operator is wrapped in a counter feeding its EXPLAIN ANALYZE node, so
+   an observed query runs exactly the code an unobserved one does. *)
 
 exception Exec_error of string
 
 let err fmt = Printf.ksprintf (fun s -> raise (Exec_error s)) fmt
 
-type cursor = unit -> Value.t array option
-
-let of_list rows : cursor =
-  let remaining = ref rows in
-  fun () ->
-    match !remaining with
-    | [] -> None
-    | r :: rest ->
-      remaining := rest;
-      Some r
-
-let to_list (c : cursor) =
-  let rec go acc = match c () with None -> List.rev acc | Some r -> go (r :: acc) in
-  go []
-
-let of_array (arr : Value.t array array) : cursor =
-  let i = ref 0 in
-  fun () ->
-    if !i >= Array.length arr then None
-    else begin
-      let r = arr.(!i) in
-      incr i;
-      Some r
-    end
-
 (* ------------------------------------------------------------------ *)
-(* Batch protocol: operators exchange vectors of ~1024 rows instead of one
-   row per virtual call. Ownership of a batch transfers to the consumer,
-   so Filter compacts in place and Project overwrites slots. *)
+(* Batch protocol: ownership of a batch transfers to the consumer, so
+   Filter and Distinct compact in place and Project overwrites slots. A
+   batch handed out is never empty. *)
 
 let batch_size = 1024
 
 type batch = {
-  mutable b_rows : Value.t array array;  (* only [0, b_len) is valid *)
+  b_rows : Value.t array array;  (* only [0, b_len) is valid *)
   mutable b_len : int;
 }
 
@@ -48,9 +26,9 @@ type batched = unit -> batch option
 
 let batches_of_array (arr : Value.t array array) : batched =
   (* Callers always pass a freshly materialized array (the scan helpers,
-     aggregate and staircase outputs), so it is served as one aliased
-     batch: zero copies, and downstream operators are free to compact or
-     overwrite it in place. *)
+     sort, aggregate and staircase outputs), so it is served as one
+     aliased batch: zero copies, and downstream operators are free to
+     compact or overwrite it in place. *)
   let served = ref false in
   fun () ->
     if !served || Array.length arr = 0 then None
@@ -58,43 +36,6 @@ let batches_of_array (arr : Value.t array array) : batched =
       served := true;
       Some { b_rows = arr; b_len = Array.length arr }
     end
-
-let rows_of_batches (b : batched) : cursor =
-  let cur = ref { b_rows = [||]; b_len = 0 } in
-  let idx = ref 0 in
-  let rec next () =
-    if !idx < !cur.b_len then begin
-      let r = !cur.b_rows.(!idx) in
-      incr idx;
-      Some r
-    end
-    else
-      match b () with
-      | None -> None
-      | Some bt ->
-        cur := bt;
-        idx := 0;
-        next ()
-  in
-  next
-
-let batches_of_rows (c : cursor) : batched =
- fun () ->
-  match c () with
-  | None -> None
-  | Some first ->
-    let buf = Array.make batch_size first in
-    let n = ref 1 in
-    (try
-       while !n < batch_size do
-         match c () with
-         | None -> raise Exit
-         | Some r ->
-           buf.(!n) <- r;
-           incr n
-       done
-     with Exit -> ());
-    Some { b_rows = buf; b_len = !n }
 
 let drain_batched (b : batched) : Value.t array array =
   let chunks = ref [] and total = ref 0 in
@@ -228,8 +169,7 @@ let const_value params e =
   f [||]
 
 (* ------------------------------------------------------------------ *)
-(* Scan row gathering, shared between the iterator and batched
-   interpreters (scans are leaves, so both produce the same array). *)
+(* Scan row gathering: each scan materializes its rows at open time. *)
 
 let find_table cat table =
   match cat.Planner.find_table table with
@@ -303,7 +243,7 @@ let index_probe_rows params cat ~table ~index_name ~keys : Value.t array array =
   Array.of_list (List.filter_map (fun rowid -> Table.get t rowid) rowids)
 
 (* ------------------------------------------------------------------ *)
-(* Staircase merge: the structural-join core, shared by both interpreters.
+(* Staircase merge: the structural-join core.
 
    Both sides materialize. Descendant rows sort by key ascending; ancestor
    rows sort by lower bound ascending. One sweep over the descendants
@@ -374,233 +314,39 @@ let staircase_merge ~desc_on_left ~key_of ~lo_of ~hi_of ~lower_strict ~upper_str
     ds;
   List.rev !out
 
-(* ------------------------------------------------------------------ *)
-
-(* The worker is parameterized over how children are opened ([recur]), so
-   the plain interpreter and the instrumented EXPLAIN ANALYZE interpreter
-   share one implementation. *)
-let open_with (recur : Plan.t -> cursor) params cat (plan : Plan.t) : cursor =
-  match plan with
-  | Plan.Seq_scan { table; _ } -> of_array (seq_scan_rows cat table)
-  | Plan.Index_scan { table; index_name; lower; upper; _ } ->
-    of_array (index_scan_rows params cat ~table ~index_name ~lower ~upper)
-  | Plan.Index_probes { table; index_name; keys; _ } ->
-    of_array (index_probe_rows params cat ~table ~index_name ~keys)
-  | Plan.Staircase_join
-      { left; right; desc_on_left; desc_key; anc_lower; anc_upper; lower_strict; upper_strict }
-    ->
-    let left_layout = layout_of cat left and right_layout = layout_of cat right in
-    let dlay, alay =
-      if desc_on_left then (left_layout, right_layout) else (right_layout, left_layout)
-    in
-    let key_of = Expr_eval.compile ~params dlay desc_key in
-    let lo_of = Expr_eval.compile ~params alay anc_lower in
-    let hi_of = Expr_eval.compile ~params alay anc_upper in
-    let lrows = Array.of_list (to_list (recur left)) in
-    let rrows = Array.of_list (to_list (recur right)) in
-    let descs, ancs = if desc_on_left then (lrows, rrows) else (rrows, lrows) in
-    of_list
-      (staircase_merge ~desc_on_left ~key_of ~lo_of ~hi_of ~lower_strict ~upper_strict descs
-         ancs)
-  | Plan.Filter (e, input) ->
-    let layout = layout_of cat input in
-    let pred = Expr_eval.compile_predicate ~params layout e in
-    let child = recur input in
-    let rec next () =
-      match child () with
-      | None -> None
-      | Some row -> if pred row then Some row else next ()
-    in
-    next
-  | Plan.Project (cols, input) ->
-    let layout = layout_of cat input in
-    let fs = List.map (fun (e, _) -> Expr_eval.compile ~params layout e) cols in
-    let child = recur input in
-    fun () ->
-      Option.map (fun row -> Array.of_list (List.map (fun f -> f row) fs)) (child ())
-  | Plan.Nl_join (l, r) ->
-    let left = recur l in
-    (* Materialize the inner side once. *)
-    let right_rows = to_list (recur r) in
-    let current_left = ref None in
-    let pending = ref [] in
-    let rec next () =
-      match !pending with
-      | rr :: rest ->
-        pending := rest;
-        let lr = match !current_left with Some lr -> lr | None -> assert false in
-        Some (Array.append lr rr)
-      | [] -> (
-        match left () with
-        | None -> None
-        | Some lr ->
-          current_left := Some lr;
-          pending := right_rows;
-          next ())
-    in
-    next
-  | Plan.Hash_join { build; probe; build_keys; probe_keys } ->
-    let build_layout = layout_of cat build in
-    let probe_layout = layout_of cat probe in
-    let bks = List.map (Expr_eval.compile ~params build_layout) build_keys in
-    let pks = List.map (Expr_eval.compile ~params probe_layout) probe_keys in
-    let table = Hashtbl.create 256 in
-    let build_cursor = recur build in
-    let rec fill () =
-      match build_cursor () with
-      | None -> ()
-      | Some row ->
-        let key = List.map (fun f -> f row) bks in
-        if not (List.exists Value.is_null key) then Hashtbl.add table key row;
-        fill ()
-    in
-    fill ();
-    let probe_cursor = recur probe in
-    let current_probe = ref None in
-    let pending = ref [] in
-    let rec next () =
-      match !pending with
-      | br :: rest ->
-        pending := rest;
-        let pr = match !current_probe with Some pr -> pr | None -> assert false in
-        Some (Array.append pr br)
-      | [] -> (
-        match probe_cursor () with
-        | None -> None
-        | Some pr ->
-          let key = List.map (fun f -> f pr) pks in
-          if List.exists Value.is_null key then next ()
-          else begin
-            current_probe := Some pr;
-            (* find_all returns most-recent first; order within a key does
-               not matter for join semantics *)
-            pending := Hashtbl.find_all table key;
-            next ()
-          end)
-    in
-    next
-  | Plan.Aggregate { group_by; aggregates; input } ->
-    let layout = layout_of cat input in
-    let gfs = List.map (Expr_eval.compile ~params layout) group_by in
-    let afs =
-      List.map
-        (fun (a : Plan.agg) ->
-          match a.Plan.agg_arg with
-          | Some e -> (a, Some (Expr_eval.compile ~params layout e))
-          | None -> (a, None))
-        aggregates
-    in
-    let groups : (Value.t list, agg_state list) Hashtbl.t = Hashtbl.create 64 in
-    let group_order = ref [] in
-    let child = recur input in
-    let rec consume () =
-      match child () with
-      | None -> ()
-      | Some row ->
-        let key = List.map (fun f -> f row) gfs in
-        let states =
-          match Hashtbl.find_opt groups key with
-          | Some s -> s
-          | None ->
-            let s = List.map (fun (a, _) -> new_agg_state a) afs in
-            Hashtbl.add groups key s;
-            group_order := key :: !group_order;
-            s
-        in
-        List.iter2
-          (fun (a, f) st ->
-            let v = match f with Some f -> f row | None -> Value.Null in
-            agg_feed a st v)
-          afs states;
-        consume ()
-    in
-    consume ();
-    let emit key =
-      let states = Hashtbl.find groups key in
-      Array.of_list (key @ List.map2 (fun (a, _) st -> agg_result a st) afs states)
-    in
-    let keys = List.rev !group_order in
-    let rows =
-      if keys = [] && group_by = [] then
-        (* aggregate over an empty input still yields one row *)
-        [ Array.of_list (List.map (fun (a, _) -> agg_result a (new_agg_state a)) afs) ]
-      else List.map emit keys
-    in
-    of_list rows
-  | Plan.Sort (items, input) ->
-    let layout = layout_of cat input in
-    let keys =
-      List.map
-        (fun { Sql_ast.order_expr; descending } -> (Expr_eval.compile ~params layout order_expr, descending))
-        items
-    in
-    let rows = to_list (recur input) in
-    let cmp a b =
-      let rec go = function
-        | [] -> 0
-        | (f, desc) :: rest ->
-          let c = Value.compare (f a) (f b) in
-          if c <> 0 then if desc then -c else c else go rest
-      in
-      go keys
-    in
-    of_list (List.stable_sort cmp rows)
-  | Plan.Distinct input ->
-    let child = recur input in
-    let seen = Hashtbl.create 256 in
-    let rec next () =
-      match child () with
-      | None -> None
-      | Some row ->
-        let key = Array.to_list row in
-        if Hashtbl.mem seen key then next ()
-        else begin
-          Hashtbl.add seen key ();
-          Some row
-        end
-    in
-    next
-  | Plan.Limit (n, input) ->
-    let child = recur input in
-    let remaining = ref n in
-    fun () ->
-      if !remaining <= 0 then None
-      else begin
-        match child () with
-        | None -> None
-        | Some row ->
-          decr remaining;
-          Some row
-      end
-  | Plan.Union_all plans ->
-    let pending = ref plans in
-    let current = ref (fun () -> None) in
-    let rec next () =
-      match !current () with
-      | Some row -> Some row
-      | None -> (
-        match !pending with
-        | [] -> None
-        | p :: rest ->
-          pending := rest;
-          current := recur p;
-          next ())
-    in
-    next
 
 (* ------------------------------------------------------------------ *)
+(* The interpreter. [open_batched] opens one operator and wraps it in a
+   counter: per batch it adds rows, one batch and the pull's wall-clock to
+   the operator's node, and the open itself (where blocking operators
+   materialize) is timed too. Children are opened through [recur], which
+   appends their nodes to the parent's in execution order; Union_all opens
+   its inputs lazily, so late inputs still land in the tree. *)
 
-let rec open_plan params cat plan = open_with (open_plan params cat) params cat plan
+let rec open_batched params cat (plan : Plan.t) : batched * Plan.annotated =
+  let a = Plan.annot plan in
+  let t0 = Metrics.now_ns () in
+  let b = open_operator params cat a plan in
+  a.Plan.an_ns <- Metrics.now_ns () - t0;
+  let counted () =
+    let t0 = Metrics.now_ns () in
+    let r = b () in
+    a.Plan.an_ns <- a.Plan.an_ns + (Metrics.now_ns () - t0);
+    (match r with
+    | Some bt ->
+      a.Plan.an_rows <- a.Plan.an_rows + bt.b_len;
+      a.Plan.an_batches <- a.Plan.an_batches + 1
+    | None -> ());
+    r
+  in
+  (counted, a)
 
-(* ------------------------------------------------------------------ *)
-(* Batched interpreter. Hot operators — scans, filter, project, hash join,
-   aggregate, staircase join, limit — move whole batches per virtual call;
-   the remaining operators (sort, distinct, union, nested loop) fall back
-   to the iterator implementation with their children still opened
-   batched, so a hot subtree keeps its batching under a cold root. *)
-
-let rec open_batched params cat (plan : Plan.t) : batched =
-  let recur child = open_batched params cat child in
+and open_operator params cat (a : Plan.annotated) (plan : Plan.t) : batched =
+  let recur child =
+    let b, ca = open_batched params cat child in
+    a.Plan.an_children <- a.Plan.an_children @ [ ca ];
+    b
+  in
   match plan with
   | Plan.Seq_scan { table; _ } -> batches_of_array (seq_scan_rows cat table)
   | Plan.Index_scan { table; index_name; lower; upper; _ } ->
@@ -641,6 +387,40 @@ let rec open_batched params cat (plan : Plan.t) : batched =
           done;
           b)
         (child ())
+  | Plan.Nl_join (l, r) ->
+    let left = recur l in
+    (* Materialize the inner side once, then emit left-major: every inner
+       row for the first outer row, then the next, in chunks of at most
+       [batch_size] so a wide cross product never builds one huge batch. *)
+    let right = drain_batched (recur r) in
+    let nr = Array.length right in
+    let cur = ref { b_rows = [||]; b_len = 0 } and li = ref 0 and ri = ref 0 in
+    let rec next () =
+      if nr = 0 then None
+      else if !li < !cur.b_len then begin
+        let lb = !cur in
+        let n = min batch_size (((lb.b_len - !li) * nr) - !ri) in
+        let out = Array.make n [||] in
+        for k = 0 to n - 1 do
+          out.(k) <- Array.append lb.b_rows.(!li) right.(!ri);
+          incr ri;
+          if !ri = nr then begin
+            ri := 0;
+            incr li
+          end
+        done;
+        Some { b_rows = out; b_len = n }
+      end
+      else
+        match left () with
+        | None -> None
+        | Some lb ->
+          cur := lb;
+          li := 0;
+          ri := 0;
+          next ()
+    in
+    next
   | Plan.Hash_join { build; probe; build_keys; probe_keys } ->
     let build_layout = layout_of cat build in
     let probe_layout = layout_of cat probe in
@@ -663,7 +443,8 @@ let rec open_batched params cat (plan : Plan.t) : batched =
           let pr = b.b_rows.(i) in
           let key = List.map (fun f -> f pr) pks in
           if not (List.exists Value.is_null key) then
-            (* find_all returns most-recent first, matching the iterator *)
+            (* find_all returns most-recent first; order within a key does
+               not matter for join semantics *)
             List.iter
               (fun br ->
                 out := Array.append pr br :: !out;
@@ -705,7 +486,7 @@ let rec open_batched params cat (plan : Plan.t) : batched =
     (* Ungrouped aggregation is the showcase batched kernel: one state
        per aggregate, no per-row key building or hash lookups, and a
        count over an argument-less aggregate advances by the whole batch
-       length in one store. *)
+       length in one store. An empty input still yields one row. *)
     let layout = layout_of cat input in
     let afs =
       List.map
@@ -780,13 +561,56 @@ let rec open_batched params cat (plan : Plan.t) : batched =
       let states = Hashtbl.find groups key in
       Array.of_list (key @ List.map2 (fun (a, _) st -> agg_result a st) afs states)
     in
-    let keys = List.rev !group_order in
-    let rows =
-      if keys = [] && group_by = [] then
-        [| Array.of_list (List.map (fun (a, _) -> agg_result a (new_agg_state a)) afs) |]
-      else Array.of_list (List.map emit keys)
+    batches_of_array (Array.of_list (List.map emit (List.rev !group_order)))
+  | Plan.Sort (items, input) ->
+    let layout = layout_of cat input in
+    let keys =
+      Array.of_list
+        (List.map
+           (fun { Sql_ast.order_expr; descending } ->
+             (Expr_eval.compile ~params layout order_expr, descending))
+           items)
     in
-    batches_of_array rows
+    let rows = drain_batched (recur input) in
+    if Array.length rows <= 1 then batches_of_array rows
+    else begin
+      (* Each row's sort keys are evaluated once; Array.stable_sort is a
+         merge sort, so rows with equal keys keep their input order. *)
+      let keyed = Array.map (fun r -> (Array.map (fun (f, _) -> f r) keys, r)) rows in
+      let cmp (ka, _) (kb, _) =
+        let rec go i =
+          if i = Array.length keys then 0
+          else
+            let c = Value.compare ka.(i) kb.(i) in
+            if c <> 0 then if snd keys.(i) then -c else c else go (i + 1)
+        in
+        go 0
+      in
+      Array.stable_sort cmp keyed;
+      batches_of_array (Array.map snd keyed)
+    end
+  | Plan.Distinct input ->
+    (* first occurrence wins: each batch is compacted in place to the rows
+       not seen before *)
+    let child = recur input in
+    let seen = Hashtbl.create 256 in
+    let rec next () =
+      match child () with
+      | None -> None
+      | Some b ->
+        let j = ref 0 in
+        for i = 0 to b.b_len - 1 do
+          let r = b.b_rows.(i) in
+          if not (Hashtbl.mem seen r) then begin
+            Hashtbl.add seen r ();
+            b.b_rows.(!j) <- r;
+            incr j
+          end
+        done;
+        b.b_len <- !j;
+        if !j = 0 then next () else Some b
+    in
+    next
   | Plan.Limit (n, input) ->
     let child = recur input in
     let remaining = ref n in
@@ -802,97 +626,67 @@ let rec open_batched params cat (plan : Plan.t) : batched =
           if take = 0 then next () else Some b
     in
     next
-  | (Plan.Nl_join _ | Plan.Sort _ | Plan.Distinct _ | Plan.Union_all _) as plan ->
-    (* iterator implementation, children still batched underneath *)
-    batches_of_rows
-      (open_with (fun child -> rows_of_batches (recur child)) params cat plan)
-
-(* Instrumented variant: every operator is wrapped in a counting cursor
-   feeding a Plan.annotated node — rows produced, next() calls, and
-   inclusive wall-clock (open + next, children included). Blocking
-   operators therefore show their materialization cost in the open share
-   of their time, exactly where it is paid. *)
-let open_annotated params cat plan : cursor * Plan.annotated =
-  let rec go plan =
-    let est = try Some (Planner.estimate_plan cat plan) with Planner.Plan_error _ | Not_found -> None in
-    let a = Plan.annot ?est (Plan.node_line plan) in
-    let recur child =
-      (* children are appended in execution order; Union_all opens its
-         inputs lazily, so late children still land in the tree *)
-      let c, ca = go child in
-      a.Plan.an_children <- a.Plan.an_children @ [ ca ];
-      c
+  | Plan.Union_all plans ->
+    (* inputs in order, each opened only once the previous one is done *)
+    let pending = ref plans in
+    let current : batched ref = ref (fun () -> None) in
+    let rec next () =
+      match !current () with
+      | Some b -> Some b
+      | None -> (
+        match !pending with
+        | [] -> None
+        | p :: rest ->
+          pending := rest;
+          current := recur p;
+          next ())
     in
-    let t0 = Metrics.now_ns () in
-    let cur = open_with recur params cat plan in
-    a.Plan.an_ns <- a.Plan.an_ns + (Metrics.now_ns () - t0);
-    let instrumented () =
-      let t0 = Metrics.now_ns () in
-      let r = cur () in
-      a.Plan.an_ns <- a.Plan.an_ns + (Metrics.now_ns () - t0);
-      a.Plan.an_nexts <- a.Plan.an_nexts + 1;
-      (match r with Some _ -> a.Plan.an_rows <- a.Plan.an_rows + 1 | None -> ());
-      r
-    in
-    (instrumented, a)
-  in
-  go plan
+    next
 
 type result = { columns : string list; rows : Value.t array list }
 
 let columns_of cat plan =
   Array.to_list (Array.map (fun s -> s.Expr_eval.slot_name) (layout_of cat plan))
 
-(* Batched execution is the default; the iterator path remains for
-   EXPLAIN ANALYZE instrumentation and as the benchmark baseline. *)
-let batched_enabled = Atomic.make true
-let set_batched b = Atomic.set batched_enabled b
-let batched_on () = Atomic.get batched_enabled
-
 let run ?(params = [||]) cat plan =
   let columns = columns_of cat plan in
-  let rows =
-    if Atomic.get batched_enabled then begin
-      (* A root Project is fused into the drain: projected rows are
-         consed straight onto the (young) result list instead of being
-         written back into the old batch array, which would hit the
-         write barrier's remembered-set path on every row. *)
-      let inner, project =
-        match plan with
-        | Plan.Project (cols, input) ->
-          let layout = layout_of cat input in
-          ( input,
-            Some
-              (Array.of_list (List.map (fun (e, _) -> Expr_eval.compile ~params layout e) cols))
-          )
-        | _ -> (plan, None)
-      in
-      let b = open_batched params cat inner in
-      let acc = ref [] in
-      let rec pull () =
-        match b () with
-        | None -> List.rev !acc
-        | Some bt ->
-          (match project with
-          | None ->
-            for i = 0 to bt.b_len - 1 do
-              acc := bt.b_rows.(i) :: !acc
-            done
-          | Some fs ->
-            for i = 0 to bt.b_len - 1 do
-              let r = bt.b_rows.(i) in
-              acc := Array.map (fun f -> f r) fs :: !acc
-            done);
-          pull ()
-      in
-      pull ()
-    end
-    else to_list (open_plan params cat plan)
+  let acc = ref [] in
+  let rec drain (b : batched) f =
+    match b () with
+    | None -> ()
+    | Some bt ->
+      f bt;
+      drain b f
   in
-  { columns; rows }
-
-let run_analyzed ?(params = [||]) cat plan =
-  let columns = columns_of cat plan in
-  let cursor, annot = open_annotated params cat plan in
-  let rows = to_list cursor in
-  ({ columns; rows }, annot)
+  let root =
+    match plan with
+    | Plan.Project (cols, input) ->
+      (* A root Project is fused into the drain: projected rows are consed
+         straight onto the (young) result list instead of being written
+         back into the old batch array, which would hit the write
+         barrier's remembered-set path on every row. Its node is counted
+         here rather than by a wrapper. *)
+      let t0 = Metrics.now_ns () in
+      let root = Plan.annot plan in
+      let layout = layout_of cat input in
+      let fs = Array.of_list (List.map (fun (e, _) -> Expr_eval.compile ~params layout e) cols) in
+      let b, child = open_batched params cat input in
+      root.Plan.an_children <- [ child ];
+      drain b (fun bt ->
+          root.Plan.an_rows <- root.Plan.an_rows + bt.b_len;
+          root.Plan.an_batches <- root.Plan.an_batches + 1;
+          for i = 0 to bt.b_len - 1 do
+            let r = bt.b_rows.(i) in
+            acc := Array.map (fun f -> f r) fs :: !acc
+          done);
+      root.Plan.an_ns <- Metrics.now_ns () - t0;
+      root
+    | _ ->
+      let b, root = open_batched params cat plan in
+      drain b (fun bt ->
+          for i = 0 to bt.b_len - 1 do
+            acc := bt.b_rows.(i) :: !acc
+          done);
+      root
+  in
+  ({ columns; rows = List.rev !acc }, root)

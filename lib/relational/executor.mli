@@ -1,68 +1,24 @@
-(** Plan interpreter: the iterator (open/next/close) model with cursors as
-    closures. Pipelining operators (scan, filter, project, limit) stream;
-    blocking operators (sort, hash-join build, aggregate) materialize their
-    input when opened. *)
+(** Plan interpreter: operators exchange batches of ~1024 rows, each
+    operator a closure returning its next batch. Pipelining operators
+    (scan, filter, project, limit, distinct, union, nested loop) stream
+    batches; blocking operators (sort, hash-join build, aggregate,
+    staircase join) materialize their input when opened.
+
+    Every run fills an EXPLAIN ANALYZE tree ({!Plan.annotated}): each
+    opened operator is wrapped in a counter, so an observed query runs
+    exactly the code an unobserved one does. *)
 
 exception Exec_error of string
 
-type cursor = unit -> Value.t array option
-
-val of_list : Value.t array list -> cursor
-val to_list : cursor -> Value.t array list
-
-(** {1 Batch protocol}
-
-    The vectorized interpreter exchanges batches of ~1024 rows instead of
-    one row per virtual call. Ownership of a batch transfers to the
-    consumer: Filter compacts [b_rows] in place and Project overwrites its
-    slots, so a producer must not retain a batch it has handed out. *)
-
 val batch_size : int
-
-type batch = {
-  mutable b_rows : Value.t array array;  (** only [[0, b_len)] is valid *)
-  mutable b_len : int;
-}
-
-type batched = unit -> batch option
-
-val rows_of_batches : batched -> cursor
-(** Row-iterator adapter over a batched stream (row order preserved). *)
-
-val batches_of_rows : cursor -> batched
-(** Chunk a row stream into full batches. *)
-
-val set_batched : bool -> unit
-(** Choose the interpreter {!run} uses (batched by default) — benchmark
-    hook for measuring vectorized against row-at-a-time execution. *)
-
-val batched_on : unit -> bool
-
-val layout_of : Planner.catalog -> Plan.t -> Expr_eval.layout
-(** The output row layout of a plan node. *)
-
-val open_plan : Value.t array -> Planner.catalog -> Plan.t -> cursor
-(** Compile and open a plan against the given parameter bindings; pull rows
-    with the returned cursor (row-at-a-time interpreter). *)
-
-val open_batched : Value.t array -> Planner.catalog -> Plan.t -> batched
-(** Vectorized interpreter: scans, filter, project, hash join, aggregate,
-    staircase join and limit move whole batches per call; sort, distinct,
-    union and nested loop fall back to the iterator implementation with
-    their children still opened batched. Row order is identical to
-    {!open_plan} for every operator. *)
-
-val open_annotated : Value.t array -> Planner.catalog -> Plan.t -> cursor * Plan.annotated
-(** Like {!open_plan}, but every operator is wrapped in a counting cursor
-    feeding the returned {!Plan.annotated} tree (rows produced, next calls,
-    inclusive wall-clock). The tree's counters are live: they fill in as
-    the cursor is drained. *)
+(** Rows per batch that operators which re-chunk their output (the nested
+    loop join) emit at most. Materializing operators hand out their whole
+    output as one batch. *)
 
 type result = { columns : string list; rows : Value.t array list }
 
-val run : ?params:Value.t array -> Planner.catalog -> Plan.t -> result
-(** [open_plan] + drain. *)
-
-val run_analyzed : ?params:Value.t array -> Planner.catalog -> Plan.t -> result * Plan.annotated
-(** [open_annotated] + drain: the result rows plus the executed plan with
-    per-operator actuals (EXPLAIN ANALYZE). *)
+val run : ?params:Value.t array -> Planner.catalog -> Plan.t -> result * Plan.annotated
+(** Compile and run a plan against the given parameter bindings: the
+    result rows plus the executed operator tree with rows, non-empty
+    batches and inclusive wall-clock per operator. The tree's [an_est]
+    fields stay [None] ({!Planner.annotate_estimates} fills them). *)

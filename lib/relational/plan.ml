@@ -128,22 +128,26 @@ let to_string plan = String.concat "\n" (to_lines 0 plan)
 
 (* ------------------------------------------------------------------ *)
 (* EXPLAIN ANALYZE: one mutable node per executed operator, filled in by
-   the instrumented executor (Executor.run_analyzed). Counters are
-   inclusive: a node's wall-clock covers its open and every next() call,
+   the executor on every run (Executor.run). Counters are inclusive: a
+   node's wall-clock covers its open and every batch pulled from it,
    children included, so the root's time is the whole execution. Children
-   appear in execution order (a hash join opens its build side first). *)
+   appear in execution order (a hash join opens its build side first).
+   The node keeps its plan operator rather than a rendered line, so a run
+   nobody looks at never formats one. *)
 
 type annotated = {
-  an_op : string;  (* the operator's own EXPLAIN line *)
+  an_node : t;  (* the executed operator *)
   mutable an_children : annotated list;
   mutable an_rows : int;  (* rows produced *)
-  mutable an_nexts : int;  (* next() calls received *)
-  mutable an_ns : int;  (* inclusive wall-clock (open + next), ns *)
-  an_est : int option;  (* planner's cardinality estimate, when costed *)
+  mutable an_batches : int;  (* non-empty batches produced *)
+  mutable an_ns : int;  (* inclusive wall-clock (open + pulls), ns *)
+  mutable an_est : int option;  (* planner's cardinality estimate, when costed *)
 }
 
-let annot ?est op =
-  { an_op = op; an_children = []; an_rows = 0; an_nexts = 0; an_ns = 0; an_est = est }
+let annot node =
+  { an_node = node; an_children = []; an_rows = 0; an_batches = 0; an_ns = 0; an_est = None }
+
+let annotated_op a = node_line a.an_node
 
 (* Misestimation factor: how far off the estimate was, as a >= 1 ratio. *)
 let misestimation ~est ~actual =
@@ -162,9 +166,9 @@ let rec annotated_lines indent a =
     | None -> ""
     | Some est -> Printf.sprintf " misest=%.1fx" (misestimation ~est ~actual:a.an_rows)
   in
-  Printf.sprintf "%s%s (%sactual rows=%d nexts=%d time=%.3f ms%s)"
+  Printf.sprintf "%s%s (%sactual rows=%d batches=%d time=%.3f ms%s)"
     (String.make (indent * 2) ' ')
-    a.an_op est_part a.an_rows a.an_nexts
+    (annotated_op a) est_part a.an_rows a.an_batches
     (float_of_int a.an_ns /. 1e6)
     misest_part
   :: List.concat_map (annotated_lines (indent + 1)) a.an_children
@@ -189,8 +193,8 @@ let record_spans a =
       let id =
         Obskit.Trace.emit ~parent ~start_ns ~dur_ns:dur
           ~attrs:
-            [ ("rows", string_of_int n.an_rows); ("nexts", string_of_int n.an_nexts) ]
-          n.an_op
+            [ ("rows", string_of_int n.an_rows); ("batches", string_of_int n.an_batches) ]
+          (annotated_op n)
       in
       let off = ref start_ns in
       List.iter

@@ -63,24 +63,28 @@ val to_string : t -> string
 
 (** {1 EXPLAIN ANALYZE}
 
-    One mutable node per executed operator, filled in by the instrumented
-    executor ({!Executor.run_analyzed}). Counters are inclusive: a node's
-    wall-clock covers its open and every [next ()] call, children included,
-    so the root's time is the whole execution. Children appear in execution
-    order (a hash join opens its build side first). *)
+    One mutable node per executed operator, filled in by the executor on
+    every run ({!Executor.run}). Counters are inclusive: a node's
+    wall-clock covers its open and every batch pulled from it, children
+    included, so the root's time is the whole execution. Children appear
+    in execution order (a hash join opens its build side first). *)
 
 type annotated = {
-  an_op : string;  (** the operator's own EXPLAIN line *)
+  an_node : t;  (** the executed operator *)
   mutable an_children : annotated list;
   mutable an_rows : int;  (** rows produced *)
-  mutable an_nexts : int;  (** [next ()] calls received *)
-  mutable an_ns : int;  (** inclusive wall-clock (open + next), ns *)
-  an_est : int option;  (** planner's cardinality estimate, when costed *)
+  mutable an_batches : int;  (** non-empty batches produced *)
+  mutable an_ns : int;  (** inclusive wall-clock (open + pulls), ns *)
+  mutable an_est : int option;
+      (** planner's cardinality estimate; filled only where a tree is
+          captured or rendered ({!Planner.annotate_estimates}) *)
 }
 
-val annot : ?est:int -> string -> annotated
-(** Fresh zeroed node (used by the executor); [est] is the planner's
-    cardinality estimate, printed next to the actuals. *)
+val annot : t -> annotated
+(** Fresh zeroed node for an operator (used by the executor). *)
+
+val annotated_op : annotated -> string
+(** The node's operator line ({!node_line} of [an_node]). *)
 
 val misestimation : est:int -> actual:int -> float
 (** How far off an estimate was, as a ratio >= 1 (both sides floored at

@@ -406,6 +406,15 @@ let rec estimate_plan (cat : catalog) (plan : Plan.t) : int =
   | Plan.Aggregate { input; _ } -> max 1 (estimate_plan cat input / 2)
   | Plan.Union_all ps -> List.fold_left (fun acc p -> acc + estimate_plan cat p) 0 ps
 
+(* Fill the est= column of an executed tree. Only callers that capture or
+   render the tree pay for it; an unobserved run never estimates. *)
+let annotate_estimates cat (root : Plan.annotated) =
+  Plan.fold_annotated
+    (fun () (a : Plan.annotated) ->
+      a.Plan.an_est <-
+        (try Some (estimate_plan cat a.Plan.an_node) with Plan_error _ | Not_found -> None))
+    () root
+
 (* ------------------------------------------------------------------ *)
 (* Join ordering *)
 

@@ -22,6 +22,10 @@ val estimate_plan : catalog -> Plan.t -> int
     fixed selectivities. Drives the lint pass's row-explosion check and
     the [est=] column of EXPLAIN ANALYZE. *)
 
+val annotate_estimates : catalog -> Plan.annotated -> unit
+(** Set [an_est] on every node of an executed operator tree. Run it only
+    where the tree is captured or rendered: execution never estimates. *)
+
 val set_staircase : bool -> unit
 (** Globally enable/disable Staircase_join selection (on by default) —
     benchmark/test hook for measuring the structural join against the

@@ -72,10 +72,10 @@ let fallback_query ~reconstruct db ~doc path =
 (* Ambient query capture. When a sink is installed (by [collect_captures],
    via [Store.query ~analyze:true] or an armed slow-query log) every query
    run through [run_built] — in any of the six schemes, with no change to
-   their signatures — executes instrumented and pushes its statement text,
-   bound parameters, plan and annotated operator tree here. Dynamically
-   scoped *per domain* ([Domain.DLS]): a sink installed on one pool
-   reader never captures another domain's queries. *)
+   their signatures — pushes its statement text, bound parameters, plan
+   and executed operator tree (with estimates) here. Dynamically scoped
+   *per domain* ([Domain.DLS]): a sink installed on one pool reader never
+   captures another domain's queries. *)
 type capture = {
   cap_sql : string;
   cap_params : Relstore.Value.t array;
@@ -106,9 +106,9 @@ let traced_translate ~scheme f =
    the rendered statement text is the plan-cache key, so per-path queries
    whose variable parts are bound parameters plan once and execute many
    times. Records the text into [sqls] and, when [joins] is given, adds
-   the plan's join count. The instrumented path (capture sink installed or
-   an active trace recording) runs the analyzed executor so the operator
-   tree is available for the sink and as trace child spans. *)
+   the plan's join count. The executor always returns its operator tree;
+   an installed capture sink keeps it, and a recording trace gets it as
+   child spans of a sql.execute span. *)
 let run_built db ?joins ~sqls ?params q =
   Relstore.Metrics.timed "mapping.run_built" @@ fun () ->
   let p = Db.prepare_query db q in
@@ -118,28 +118,26 @@ let run_built db ?joins ~sqls ?params q =
   (match joins with
   | Some j -> j := !j + Relstore.Plan.count_joins plan
   | None -> ());
-  let tracing = Obskit.Trace.recording () in
-  match (Domain.DLS.get capture_sink, tracing) with
-  | None, false -> Relstore.Executor.run ?params (Db.catalog db) plan
-  | sink, _ ->
-    let run () =
-      let r, annot = Relstore.Executor.run_analyzed ?params (Db.catalog db) plan in
-      (match sink with
-      | Some acc ->
-        acc :=
-          {
-            cap_sql = text;
-            cap_params = (match params with Some a -> a | None -> [||]);
-            cap_plan = plan;
-            cap_annot = annot;
-          }
-          :: !acc
-      | None -> ());
-      if tracing then Relstore.Plan.record_spans annot;
-      r
-    in
-    if tracing then Obskit.Trace.with_span ~attrs:[ ("sql", text) ] "sql.execute" run
-    else run ()
+  let run () =
+    let r, annot = Relstore.Executor.run ?params (Db.catalog db) plan in
+    (match Domain.DLS.get capture_sink with
+    | Some acc ->
+      Relstore.Planner.annotate_estimates (Db.catalog db) annot;
+      acc :=
+        {
+          cap_sql = text;
+          cap_params = (match params with Some a -> a | None -> [||]);
+          cap_plan = plan;
+          cap_annot = annot;
+        }
+        :: !acc
+    | None -> ());
+    Relstore.Plan.record_spans annot;
+    r
+  in
+  if Obskit.Trace.recording () then
+    Obskit.Trace.with_span ~attrs:[ ("sql", text) ] "sql.execute" run
+  else run ()
 
 (* Same, for internal fetches (reconstruction, subtree assembly) that do
    not report statement text. *)

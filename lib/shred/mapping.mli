@@ -70,19 +70,19 @@ val query_built :
   Db.t -> ?params:Relstore.Value.t array -> Relstore.Sql_ast.query -> Relstore.Executor.result
 (** Same, for internal fetches that do not report statement text. *)
 
-(** One instrumented statement execution, as observed by {!run_built}
-    under an active capture sink. *)
+(** One statement execution, as observed by {!run_built} under an active
+    capture sink. *)
 type capture = {
   cap_sql : string;  (** rendered statement text (plan-cache key) *)
   cap_params : Relstore.Value.t array;  (** bound parameters, [[||]] if none *)
   cap_plan : Relstore.Plan.t;
-  cap_annot : Relstore.Plan.annotated;  (** EXPLAIN ANALYZE operator tree *)
+  cap_annot : Relstore.Plan.annotated;  (** EXPLAIN ANALYZE operator tree, estimates filled *)
 }
 
 val collect_captures : (unit -> 'a) -> 'a * capture list
 (** Run [f] with an ambient capture sink installed: every query the schemes
-    execute through {!run_built} during [f] runs instrumented, and the
-    captures are returned in execution order alongside [f]'s result. Nests
+    execute through {!run_built} during [f] is captured with its executed
+    operator tree, and the captures are returned in execution order alongside [f]'s result. Nests
     (the outer sink is restored on exit); not thread-safe. *)
 
 val collect_analysis : (unit -> 'a) -> 'a * (string * Relstore.Plan.annotated) list

@@ -161,7 +161,8 @@ let test_store_analyze scheme () =
             (Relstore.Plan.fold_annotated
                (fun ok a ->
                  ok && a.Relstore.Plan.an_rows >= 0
-                 && a.Relstore.Plan.an_nexts >= a.Relstore.Plan.an_rows
+                 && a.Relstore.Plan.an_batches <= a.Relstore.Plan.an_rows
+                 && (a.Relstore.Plan.an_rows = 0) = (a.Relstore.Plan.an_batches = 0)
                  && a.Relstore.Plan.an_ns >= 0)
                true annot))
         analyzed.Store.analyzed)

@@ -44,23 +44,40 @@ let test_cross_scheme_consistency () =
       | [] -> Alcotest.fail "no schemes")
     Xmlwork.Queries.auction_queries
 
-let with_batched on f =
-  let prev = Relstore.Executor.batched_on () in
-  Relstore.Executor.set_batched on;
-  Fun.protect ~finally:(fun () -> Relstore.Executor.set_batched prev) f
+let with_sampling mode f =
+  let prev = Obskit.Trace.sampling () in
+  Obskit.Trace.set_sampling mode;
+  Fun.protect ~finally:(fun () -> Obskit.Trace.set_sampling prev) f
 
-(* Tentpole invariant: the vectorized interpreter answers every workload
-   query byte-for-byte like the row iterator, on every scheme. *)
-let test_batched_iterator_consistency () =
+(* One interpreter: tracing a query, capturing its statements or asking for
+   ANALYZE runs the same execution as running it unobserved, so every
+   workload query answers byte-for-byte alike on every scheme, and each
+   captured statement's root operator counted exactly the rows the
+   statement returns. *)
+let test_observed_equals_unobserved () =
   let stores = all_stores () in
   List.iter
     (fun (q : Xmlwork.Queries.query) ->
       List.iter
         (fun (scheme, store) ->
-          let run on = with_batched on (fun () -> Store.query_values store 0 q.Xmlwork.Queries.xpath) in
-          check_strings
-            (q.Xmlwork.Queries.qid ^ " batched equals iterator on " ^ scheme)
-            (run false) (run true))
+          let xpath = q.Xmlwork.Queries.xpath in
+          let label what = Printf.sprintf "%s %s on %s" q.Xmlwork.Queries.qid what scheme in
+          let values () = Store.query_values store 0 xpath in
+          let plain = with_sampling Obskit.Trace.Off values in
+          check_strings (label "traced") plain (with_sampling Obskit.Trace.Always values);
+          let captured, caps = Xmlshred.Mapping.collect_captures values in
+          check_strings (label "captured") plain captured;
+          check_strings (label "analyzed") plain (Store.query ~analyze:true store 0 xpath).Store.values;
+          List.iter
+            (fun (c : Xmlshred.Mapping.capture) ->
+              let r =
+                Relstore.Database.query ~params:c.Xmlshred.Mapping.cap_params
+                  (Store.database store) c.Xmlshred.Mapping.cap_sql
+              in
+              check_int (label "root rows")
+                (List.length r.Relstore.Executor.rows)
+                c.Xmlshred.Mapping.cap_annot.Relstore.Plan.an_rows)
+            caps)
         stores)
     Xmlwork.Queries.auction_queries
 
@@ -335,7 +352,7 @@ let () =
           Alcotest.test_case "query consistency" `Slow test_cross_scheme_consistency;
           Alcotest.test_case "round trips" `Slow test_cross_scheme_roundtrip;
           Alcotest.test_case "bulk equals row-at-a-time" `Slow test_bulk_row_equivalence;
-          Alcotest.test_case "batched equals iterator" `Slow test_batched_iterator_consistency;
+          Alcotest.test_case "observed equals unobserved" `Slow test_observed_equals_unobserved;
         ] );
       ( "staircase join",
         [

@@ -335,7 +335,7 @@ let test_slow_log () =
     check_bool "params bound" true (Array.length s.Store.ss_params > 0);
     check_bool "plan rendered" true (String.length s.Store.ss_plan > 0);
     check_bool "analyze rows" true
-      (Relstore.Plan.fold_annotated (fun acc a -> acc + a.Relstore.Plan.an_nexts) 0
+      (Relstore.Plan.fold_annotated (fun acc a -> acc + a.Relstore.Plan.an_batches) 0
          s.Store.ss_annot
       > 0)
   | l -> Alcotest.failf "expected one entry, got %d" (List.length l));

@@ -40,7 +40,7 @@ let test_pool_equals_direct () =
           check_strings
             (scheme ^ " " ^ q.Xmlwork.Queries.qid)
             (Store.query_values direct doc q.Xmlwork.Queries.xpath)
-            (Pool.query pool doc q.Xmlwork.Queries.xpath).Store.values)
+            (fst (Pool.query pool doc q.Xmlwork.Queries.xpath)).Store.values)
         Xmlwork.Queries.auction_queries)
     [ "edge"; "interval"; "dewey" ]
 
@@ -56,7 +56,7 @@ let prop_random_workload =
       List.for_all
         (fun i ->
           let x = queries.(i).Xmlwork.Queries.xpath in
-          (Pool.query pool doc x).Store.values = Store.query_values direct doc x)
+          (fst (Pool.query pool doc x)).Store.values = Store.query_values direct doc x)
         picks)
 
 (* ------------------------------------------------------------------ *)
@@ -71,7 +71,7 @@ let test_snapshot_isolation () =
   let expected_new = ref [] in
   (* the full answer the new document must give once visible *)
   let probe = "/site/people/person/name" in
-  let baseline = Pool.query pool doc0 probe in
+  let baseline, _ = Pool.query pool doc0 probe in
   (let scratch = Store.create "edge" in
    let d = Store.add_document scratch new_doc in
    expected_new := Store.query_values scratch d probe);
@@ -83,11 +83,11 @@ let test_snapshot_isolation () =
         Domain.spawn (fun () ->
             while not (Atomic.get stop) do
               (* doc0 must answer its pre-load values forever *)
-              let r0 = Pool.query pool doc0 probe in
+              let r0, _ = Pool.query pool doc0 probe in
               if r0.Store.values <> baseline.Store.values then Atomic.incr torn;
               (* doc1 must be absent or complete *)
               (match Pool.query pool (doc0 + 1) probe with
-              | r1 ->
+              | r1, _ ->
                 Atomic.incr observed_post;
                 if r1.Store.values <> !expected_new then Atomic.incr torn
               | exception Store.Store_error _ -> ())
@@ -95,12 +95,67 @@ let test_snapshot_isolation () =
   in
   let loaded = Pool.apply pool (fun s -> Store.add_document s new_doc) in
   (* give readers a beat to observe the post-load epoch *)
-  let r1 = Pool.query pool loaded probe in
+  let r1, _ = Pool.query pool loaded probe in
   Atomic.set stop true;
   List.iter Domain.join readers;
   check_int "no torn observation" 0 (Atomic.get torn);
   check_strings "post-load answer complete" !expected_new r1.Store.values;
   check_int "epoch advanced" 1 (Pool.epoch pool)
+
+(* ------------------------------------------------------------------ *)
+(* Epoch attribution under concurrent commits. One writer domain appends a
+   marker element to document 0 per commit; another loads documents. So at
+   epoch e, document 0 holds e - (loads published at or before e)
+   markers, and the k-th load (in epoch order) is document k. Readers
+   querying the markers must get exactly the count their reported epoch
+   implies, and every load must report the epoch it published. *)
+
+let test_epoch_names_snapshot () =
+  let store = Store.create ~metrics_label:"pool-test" "edge" in
+  let doc0 = Store.add_string store "<log/>" in
+  let pool = Pool.create ~readers:2 store in
+  let rounds = 12 in
+  let marker = Xmlkit.Dom.element "m" [ Xmlkit.Dom.text "x" ] in
+  let appender =
+    Domain.spawn (fun () ->
+        for _ = 1 to rounds do
+          ignore (Pool.apply pool (fun s -> Store.append_child s doc0 ~parent:"/log" marker))
+        done)
+  in
+  let loader =
+    Domain.spawn (fun () -> List.init rounds (fun _ -> Pool.load_string pool "<doc/>"))
+  in
+  let stop = Atomic.make false in
+  let readers =
+    List.init 2 (fun _ ->
+        Domain.spawn (fun () ->
+            let seen = ref [] in
+            while not (Atomic.get stop) do
+              let r, epoch = Pool.query pool doc0 "/log/m" in
+              seen := (List.length r.Store.values, epoch) :: !seen
+            done;
+            !seen))
+  in
+  Domain.join appender;
+  let loads = Domain.join loader in
+  Atomic.set stop true;
+  let observations = List.concat_map Domain.join readers in
+  check_int "every commit published an epoch" (2 * rounds) (Pool.epoch pool);
+  let load_epochs = List.sort compare (List.map snd loads) in
+  check_int "load epochs are distinct" rounds (List.length (List.sort_uniq compare load_epochs));
+  check_bool "each load is the document its epoch implies" true
+    (List.for_all
+       (fun (doc, epoch) ->
+         doc = List.length (List.filter (fun e -> e <= epoch) load_epochs))
+       loads);
+  check_bool "readers observed something" true (observations <> []);
+  List.iter
+    (fun (markers, epoch) ->
+      check_int
+        (Printf.sprintf "markers at reported epoch %d" epoch)
+        (epoch - List.length (List.filter (fun e -> e <= epoch) load_epochs))
+        markers)
+    observations
 
 (* ------------------------------------------------------------------ *)
 (* Metrics under fire: concurrent scrapes while reader domains hammer
@@ -173,13 +228,13 @@ let test_epoch_refresh () =
   let pool = Pool.create ~readers:1 store in
   ignore (Pool.query pool doc "//keyword");
   check_int "fresh pool epoch" 0 (Pool.epoch pool);
-  let doc2 = Pool.load_string pool "<site><people><person id=\"px\"><name>Late Arrival</name></person></people></site>" in
+  let doc2, _ = Pool.load_string pool "<site><people><person id=\"px\"><name>Late Arrival</name></person></people></site>" in
   check_int "epoch bumped" 1 (Pool.epoch pool);
   check_strings "new document visible through the pool" [ "Late Arrival" ]
-    (Pool.query pool doc2 "/site/people/person/name").Store.values;
+    (fst (Pool.query pool doc2 "/site/people/person/name")).Store.values;
   check_strings "old document still answers"
     (Store.query_values store doc "/site/people/person/name")
-    (Pool.query pool doc "/site/people/person/name").Store.values
+    (fst (Pool.query pool doc "/site/people/person/name")).Store.values
 
 let () =
   let qc = QCheck_alcotest.to_alcotest in
@@ -194,6 +249,8 @@ let () =
         [
           Alcotest.test_case "readers never see a torn load" `Quick test_snapshot_isolation;
           Alcotest.test_case "epoch refresh after commit" `Quick test_epoch_refresh;
+          Alcotest.test_case "reported epoch names the snapshot" `Quick
+            test_epoch_names_snapshot;
         ] );
       ( "observability",
         [ Alcotest.test_case "concurrent scrapes lint clean" `Quick test_metrics_scrape_race ] );

@@ -1140,8 +1140,11 @@ let test_analyze_matches_plain () =
       check_int ("root actual rows: " ^ sql)
         (List.length analyzed.Executor.rows)
         annot.Plan.an_rows;
-      (* the drained root saw one next () per row plus the final None *)
-      check_int ("root nexts: " ^ sql) (List.length analyzed.Executor.rows + 1) annot.Plan.an_nexts;
+      (* batches are never empty: none when nothing came out, at most one
+         per row otherwise *)
+      let n = List.length analyzed.Executor.rows in
+      check_bool ("root batches: " ^ sql) true
+        ((n = 0) = (annot.Plan.an_batches = 0) && annot.Plan.an_batches <= n);
       check_bool ("at least one operator: " ^ sql) true
         (Plan.annotated_operator_count annot >= 1))
     [
@@ -1167,40 +1170,119 @@ let analyze_root_rows_prop =
 (* ------------------------------------------------------------------ *)
 (* Vectorized executor and staircase join *)
 
-let with_batched on f =
-  let prev = Executor.batched_on () in
-  Executor.set_batched on;
-  Fun.protect ~finally:(fun () -> Executor.set_batched prev) f
+let v_int i = Value.Int i
+let v_text s = Value.Text s
 
-(* Byte-for-byte: both interpreters produce the same columns and the same
-   rows in the same order, across every operator shape. *)
-let batched_queries =
+(* Literal rows, order included, for every operator shape. *)
+let literal_queries =
   [
-    "SELECT id, name FROM people WHERE age > 20";
-    "SELECT city, count(*), sum(age) FROM people GROUP BY city ORDER BY city";
-    "SELECT DISTINCT city FROM people";
-    "SELECT a.name, b.name FROM people a, people b WHERE a.city = b.city ORDER BY a.id, b.id";
-    "SELECT name FROM people ORDER BY age DESC, name LIMIT 2";
-    "SELECT id + age FROM people WHERE age IS NOT NULL";
-    "SELECT name FROM people WHERE city = 'london' UNION ALL SELECT name FROM people WHERE \
-     city = 'paris'";
-    "SELECT a.id FROM people a, people b LIMIT 5";
+    ( "SELECT id, name FROM people WHERE age > 20",
+      [ [| v_int 1; v_text "ada" |]; [| v_int 2; v_text "bob" |]; [| v_int 3; v_text "cyd" |] ] );
+    ( "SELECT city, count(*), sum(age) FROM people GROUP BY city ORDER BY city",
+      [
+        [| v_text "london"; v_int 2; v_int 72 |];
+        [| v_text "paris"; v_int 1; v_int 25 |];
+        [| v_text "rome"; v_int 1; Value.Null |];
+      ] );
+    ( "SELECT DISTINCT city FROM people",
+      [ [| v_text "london" |]; [| v_text "paris" |]; [| v_text "rome" |] ] );
+    ( "SELECT a.name, b.name FROM people a, people b WHERE a.city = b.city ORDER BY a.id, b.id",
+      List.map
+        (fun (x, y) -> [| v_text x; v_text y |])
+        [ ("ada", "ada"); ("ada", "cyd"); ("bob", "bob"); ("cyd", "ada"); ("cyd", "cyd"); ("dan", "dan") ]
+    );
+    ("SELECT name FROM people ORDER BY age DESC, name LIMIT 2", [ [| v_text "ada" |]; [| v_text "cyd" |] ]);
+    ("SELECT id + age FROM people WHERE age IS NOT NULL", [ [| v_int 37 |]; [| v_int 27 |]; [| v_int 39 |] ]);
+    ( "SELECT name FROM people WHERE city = 'london' UNION ALL SELECT name FROM people WHERE \
+       city = 'paris'",
+      [ [| v_text "ada" |]; [| v_text "cyd" |]; [| v_text "bob" |] ] );
+    ( "SELECT a.id FROM people a, people b LIMIT 5",
+      [ [| v_int 1 |]; [| v_int 1 |]; [| v_int 1 |]; [| v_int 1 |]; [| v_int 2 |] ] );
   ]
 
-let test_batched_matches_iterator () =
+let test_literal_rows () =
   let db = db_with_people () in
   List.iter
-    (fun sql ->
-      let vec = with_batched true (fun () -> Database.query db sql) in
-      let row = with_batched false (fun () -> Database.query db sql) in
-      check_bool ("columns: " ^ sql) true (vec.Executor.columns = row.Executor.columns);
-      check_bool ("rows: " ^ sql) true (vec.Executor.rows = row.Executor.rows))
-    batched_queries
+    (fun (sql, expected) -> check_bool ("rows: " ^ sql) true (rows db sql = expected))
+    literal_queries
 
-(* Property: on randomized tables, every query template answers
-   identically (order included) under both interpreters. *)
-let batched_equiv_prop =
-  QCheck.Test.make ~name:"batched executor equals iterator" ~count:80
+(* The four operators that materialize or re-chunk (Sort, Distinct,
+   Union_all, Nl_join), on empty inputs and on inputs past one batch:
+   [big] has 2500 rows, so a cross product with [three] is emitted in
+   several batches and everything above it crosses batch boundaries. *)
+let test_ported_operator_order () =
+  let db = Database.create () in
+  ignore (Database.exec db "CREATE TABLE big (id INTEGER NOT NULL, k INTEGER)");
+  ignore (Database.exec db "CREATE TABLE three (j INTEGER NOT NULL)");
+  ignore (Database.exec db "CREATE TABLE empty (e INTEGER)");
+  let n = 2500 in
+  let key i = i * 7919 mod 13 in
+  for i = 0 to n - 1 do
+    Database.insert_row_array db "big" [| v_int i; v_int (key i) |]
+  done;
+  List.iter (fun j -> Database.insert_row_array db "three" [| v_int j |]) [ 0; 1; 2 ];
+  let ids = List.init n Fun.id in
+  let ints l = List.map (fun i -> [| v_int i |]) l in
+  let check name sql expected = check_bool name true (rows db sql = expected) in
+  (* Nl_join: left-major, every inner row per outer row; the planner puts
+     the smaller input ([three]) on the left *)
+  let cross = List.concat_map (fun j -> List.map (fun i -> (i, j)) ids) [ 0; 1; 2 ] in
+  check "nested loop left-major" "SELECT b.id, t.j FROM big b, three t"
+    (List.map (fun (i, j) -> [| v_int i; v_int j |]) cross);
+  check "nested loop, empty inner" "SELECT b.id FROM big b, empty e" [];
+  check "nested loop, empty outer" "SELECT t.j FROM empty e, three t" [];
+  let _, annot = Database.query_analyzed db "SELECT b.id, t.j FROM big b, three t" in
+  let nl =
+    Plan.fold_annotated
+      (fun acc a -> match a.Plan.an_node with Plan.Nl_join _ -> Some a | _ -> acc)
+      None annot
+  in
+  (match nl with
+  | Some a ->
+    check_int "nested loop rows" (3 * n) a.Plan.an_rows;
+    check_int "nested loop emits full batches" ((3 * n + Executor.batch_size - 1) / Executor.batch_size)
+      a.Plan.an_batches
+  | None -> Alcotest.fail "no nested loop in the plan");
+  (* Sort: stable, so equal keys keep scan order; DESC reverses keys only *)
+  let by_key cmp = List.stable_sort (fun a b -> cmp (key a) (key b)) ids in
+  check "sort stable" "SELECT id FROM big ORDER BY k" (ints (by_key compare));
+  check "sort desc stable" "SELECT id FROM big ORDER BY k DESC"
+    (ints (by_key (fun a b -> compare b a)));
+  check "sort over batches" "SELECT b.id, t.j FROM big b, three t ORDER BY t.j DESC, b.k"
+    (List.concat_map
+       (fun j -> List.map (fun i -> [| v_int i; v_int j |]) (by_key compare))
+       [ 2; 1; 0 ]);
+  check "sort empty" "SELECT e FROM empty ORDER BY e" [];
+  (* Distinct: first occurrence wins, across batch boundaries *)
+  let first_seen l =
+    List.rev
+      (List.fold_left (fun acc x -> if List.mem x acc then acc else x :: acc) [] l)
+  in
+  check "distinct first occurrence" "SELECT DISTINCT k FROM big"
+    (ints (first_seen (List.map key ids)));
+  check "distinct over batches" "SELECT DISTINCT b.k, t.j FROM big b, three t"
+    (List.map
+       (fun (k, j) -> [| v_int k; v_int j |])
+       (first_seen (List.map (fun (i, j) -> (key i, j)) cross)));
+  check "distinct empty" "SELECT DISTINCT e FROM empty" [];
+  (* Union_all: inputs in order, each in its own order *)
+  check "union inputs in order"
+    "SELECT id FROM big WHERE k = 3 UNION ALL SELECT j FROM three UNION ALL SELECT id FROM big \
+     WHERE k < 2"
+    (ints
+       (List.filter (fun i -> key i = 3) ids @ [ 0; 1; 2 ] @ List.filter (fun i -> key i < 2) ids));
+  check "union with empty inputs" "SELECT e FROM empty UNION ALL SELECT j FROM three UNION ALL \
+    SELECT e FROM empty"
+    (ints [ 0; 1; 2 ]);
+  check "union of empties" "SELECT e FROM empty UNION ALL SELECT e FROM empty" []
+
+(* Property: on randomized tables, every query template answers with the
+   rows (order included) computed directly from the data. Seq scans run in
+   insertion order, an index range scan in key order (insertion order
+   within a key), and the self-join probes [x] against a hash table on [y]
+   whose buckets list the latest insert first. *)
+let batched_model_prop =
+  QCheck.Test.make ~name:"executor rows equal the model" ~count:80
     QCheck.(pair (list (pair (int_range 0 8) (int_range 0 5))) (int_range 0 6))
     (fun (data, which) ->
       let db = Database.create () in
@@ -1209,19 +1291,60 @@ let batched_equiv_prop =
         (fun (a, b) -> Database.insert_row_array db "t" [| Value.Int a; Value.Int b |])
         data;
       ignore (Database.exec db "CREATE INDEX t_a ON t (a)");
-      let sql =
+      let by_a l = List.stable_sort (fun (a1, _) (a2, _) -> compare a1 a2) l in
+      let ints l = List.map (fun i -> [| v_int i |]) l in
+      let rec take n = function x :: rest when n > 0 -> x :: take (n - 1) rest | _ -> [] in
+      let sql, expected =
         match which with
-        | 0 -> "SELECT a, b FROM t WHERE a > 2 AND b < 4"
-        | 1 -> "SELECT a, count(*), min(b) FROM t GROUP BY a ORDER BY a"
-        | 2 -> "SELECT DISTINCT b FROM t"
-        | 3 -> "SELECT x.a, y.b FROM t x, t y WHERE x.a = y.a ORDER BY x.b, y.b LIMIT 20"
-        | 4 -> "SELECT a FROM t WHERE a = 3"
-        | 5 -> "SELECT a * 2 + b FROM t ORDER BY b LIMIT 5"
-        | _ -> "SELECT a FROM t WHERE a >= 1 UNION ALL SELECT b FROM t WHERE b <= 2"
+        | 0 ->
+          ( "SELECT a, b FROM t WHERE a > 2 AND b < 4",
+            List.map
+              (fun (a, b) -> [| v_int a; v_int b |])
+              (by_a (List.filter (fun (a, b) -> a > 2 && b < 4) data)) )
+        | 1 ->
+          ( "SELECT a, count(*), min(b) FROM t GROUP BY a ORDER BY a",
+            List.map
+              (fun a ->
+                let bs = List.filter_map (fun (a', b) -> if a' = a then Some b else None) data in
+                [| v_int a; v_int (List.length bs); v_int (List.fold_left min max_int bs) |])
+              (List.sort_uniq compare (List.map fst data)) )
+        | 2 ->
+          ( "SELECT DISTINCT b FROM t",
+            ints
+              (List.rev
+                 (List.fold_left
+                    (fun acc (_, b) -> if List.mem b acc then acc else b :: acc)
+                    [] data)) )
+        | 3 ->
+          let latest_first = List.rev data in
+          let joined =
+            List.concat_map
+              (fun (xa, xb) ->
+                List.filter_map
+                  (fun (ya, yb) -> if ya = xa then Some ((xb, yb), [| v_int xa; v_int yb |]) else None)
+                  latest_first)
+              data
+          in
+          ( "SELECT x.a, y.b FROM t x, t y WHERE x.a = y.a ORDER BY x.b, y.b LIMIT 20",
+            take 20 (List.map snd (List.stable_sort (fun (k1, _) (k2, _) -> compare k1 k2) joined))
+          )
+        | 4 ->
+          ( "SELECT a FROM t WHERE a = 3",
+            ints (List.filter_map (fun (a, _) -> if a = 3 then Some a else None) data) )
+        | 5 ->
+          ( "SELECT a * 2 + b FROM t ORDER BY b LIMIT 5",
+            ints
+              (take 5
+                 (List.map
+                    (fun (a, b) -> (a * 2) + b)
+                    (List.stable_sort (fun (_, b1) (_, b2) -> compare b1 b2) data))) )
+        | _ ->
+          ( "SELECT a FROM t WHERE a >= 1 UNION ALL SELECT b FROM t WHERE b <= 2",
+            ints
+              (List.map fst (by_a (List.filter (fun (a, _) -> a >= 1) data))
+              @ List.filter_map (fun (_, b) -> if b <= 2 then Some b else None) data) )
       in
-      let vec = with_batched true (fun () -> Database.query db sql) in
-      let row = with_batched false (fun () -> Database.query db sql) in
-      vec.Executor.rows = row.Executor.rows && vec.Executor.columns = row.Executor.columns)
+      rows db sql = expected)
 
 let with_staircase on f =
   Planner.set_staircase on;
@@ -1470,8 +1593,9 @@ let () =
         ] );
       ( "vectorized executor",
         [
-          Alcotest.test_case "batched matches iterator" `Quick test_batched_matches_iterator;
-          QCheck_alcotest.to_alcotest batched_equiv_prop;
+          Alcotest.test_case "literal rows" `Quick test_literal_rows;
+          Alcotest.test_case "ported operator order" `Quick test_ported_operator_order;
+          QCheck_alcotest.to_alcotest batched_model_prop;
         ] );
       ( "staircase join",
         [
