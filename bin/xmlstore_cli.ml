@@ -160,7 +160,7 @@ let shred_cmd =
     (Cmd.info "shred" ~doc:"Shred a document and report (or dump) the relational storage.")
     Term.(const run $ scheme_arg $ dtd_arg $ file_arg $ dump)
 
-(* load: timed document loading, bulk (default) or row-at-a-time *)
+(* load: timed document loading through a bulk session *)
 let durable_arg =
   Arg.(value & opt (some string) None
        & info [ "durable" ] ~docv:"DIR"
@@ -177,17 +177,7 @@ let crash_arg =
                    points))
 
 let load_cmd =
-  let bulk_arg =
-    Arg.(value
-         & vflag true
-             [
-               (true, info [ "bulk" ] ~doc:"Load through a bulk session with deferred bottom-up \
-                                            index builds (default).");
-               (false, info [ "no-bulk" ] ~doc:"Load row-at-a-time, maintaining every index per \
-                                                inserted row.");
-             ])
-  in
-  let run scheme dtd_file path bulk durable crash_at =
+  let run scheme dtd_file path durable crash_at =
     let parsed =
       let ic = open_in_bin path in
       let n = in_channel_length ic in
@@ -207,8 +197,8 @@ let load_cmd =
     in
     let store =
       match dtd with
-      | Some d -> Store.create ~dtd:d ~bulk ?durable scheme
-      | None -> Store.create ~bulk ?durable scheme
+      | Some d -> Store.create ~dtd:d ?durable scheme
+      | None -> Store.create ?durable scheme
     in
     Relstore.Failpoint.arm crash_at;
     (try
@@ -217,10 +207,8 @@ let load_cmd =
        Store.close store;
        let ms = float_of_int (Obskit.Clock.now_ns () - t0) /. 1e6 in
        let stats = Store.stats store in
-       Printf.printf "scheme:        %s\nmode:          %s\nrows:          %d\nindex entries: %d\n"
-         stats.Store.scheme_id
-         (if bulk then "bulk" else "row-at-a-time")
-         stats.Store.total_rows stats.Store.total_index_entries;
+       Printf.printf "scheme:        %s\nrows:          %d\nindex entries: %d\n"
+         stats.Store.scheme_id stats.Store.total_rows stats.Store.total_index_entries;
        (match durable with Some dir -> Printf.printf "directory:     %s\n" dir | None -> ());
        Printf.printf "load time:     %.2f ms\nrows/sec:      %.0f\n" ms
          (float_of_int stats.Store.total_rows /. (ms /. 1000.))
@@ -231,12 +219,11 @@ let load_cmd =
   in
   Cmd.v
     (Cmd.info "load"
-       ~doc:"Shred a document into a store and report load throughput. --bulk (the default) \
-             appends all rows first and builds each B+-tree bottom-up from one sort; --no-bulk \
-             maintains every index per inserted row. Stored contents are identical either way. \
-             With --durable DIR the store lives on disk and the load commits through the \
-             write-ahead log; --crash-at simulates a crash part-way for recovery testing.")
-    Term.(const run $ scheme_arg $ dtd_arg $ file_arg $ bulk_arg $ durable_arg $ crash_arg)
+       ~doc:"Shred a document into a store and report load throughput. The load appends all \
+             rows first and builds each B+-tree bottom-up from one sort. With --durable DIR \
+             the store lives on disk and the load commits through the write-ahead log; \
+             --crash-at simulates a crash part-way for recovery testing.")
+    Term.(const run $ scheme_arg $ dtd_arg $ file_arg $ durable_arg $ crash_arg)
 
 (* checkpoint / recover: operate on a durable store directory *)
 let dir_arg =

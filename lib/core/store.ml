@@ -41,7 +41,6 @@ type t = {
   dtd : Xmlkit.Dtd.t option;
   validate : bool;
   indexes : bool;
-  mutable bulk : bool;  (* shred through a bulk-load session (deferred index builds) *)
   metrics_label : string;
   mutable next_doc : int;
   mutable slow_threshold_ns : int option;
@@ -97,8 +96,7 @@ let read_scheme_file dir =
 (* The one record constructor: a fresh, reopened, restored or replicated
    store differs only in these arguments. Document ids continue after the
    highest one the database already holds. *)
-let make ?metrics_label ?(validate = false) ?(indexes = true) ?(bulk = true) ~dtd ~scheme
-    ~mapping db =
+let make ?metrics_label ?(validate = false) ?(indexes = true) ~dtd ~scheme ~mapping db =
   let next_doc =
     match (Db.query db "SELECT max(doc) FROM documents").Relstore.Executor.rows with
     | [ [| Relstore.Value.Int m |] ] -> m + 1
@@ -111,7 +109,6 @@ let make ?metrics_label ?(validate = false) ?(indexes = true) ?(bulk = true) ~dt
     dtd;
     validate;
     indexes;
-    bulk;
     metrics_label = fresh_label ?metrics_label scheme;
     next_doc;
     slow_threshold_ns = None;
@@ -124,8 +121,7 @@ let make ?metrics_label ?(validate = false) ?(indexes = true) ?(bulk = true) ~dt
 (* [validate] (only meaningful with a DTD) checks documents against the DTD
    before storing them. [durable] roots the store in a directory (paged
    checkpoints + WAL; see Database.open_durable) instead of memory. *)
-let create ?dtd ?(validate = false) ?(indexes = true) ?(bulk = true) ?metrics_label ?durable
-    scheme =
+let create ?dtd ?(validate = false) ?(indexes = true) ?metrics_label ?durable scheme =
   let mapping = resolve_mapping ~scheme ~dtd in
   let db =
     match durable with
@@ -146,13 +142,11 @@ let create ?dtd ?(validate = false) ?(indexes = true) ?(bulk = true) ?metrics_la
   let module M = (val mapping : Xmlshred.Mapping.MAPPING) in
   M.create_schema db;
   if indexes then M.create_indexes db;
-  make ?metrics_label ~validate ~indexes ~bulk ~dtd ~scheme ~mapping db
+  make ?metrics_label ~validate ~indexes ~dtd ~scheme ~mapping db
 
 let scheme t = t.scheme
 let database t = t.db
 let metrics_label t = t.metrics_label
-let set_bulk_load t enabled = t.bulk <- enabled
-let bulk_load t = t.bulk
 let is_durable t = Db.is_durable t.db
 let durable_dir t = Db.durable_dir t.db
 let last_recovery t = Db.last_recovery t.db
@@ -186,37 +180,30 @@ let add_dom ?name t (dom : Dom.t) : doc_id =
   let module M = (val t.mapping : Xmlshred.Mapping.MAPPING) in
   Relstore.Metrics.timed ("store.shred." ^ t.scheme) (fun () ->
       Obskit.Trace.with_span
-        ~attrs:
-          [ ("scheme", t.scheme); ("doc", string_of_int doc); ("bulk", string_of_bool t.bulk) ]
+        ~attrs:[ ("scheme", t.scheme); ("doc", string_of_int doc) ]
         "shred"
         (fun () ->
-          if t.bulk then begin
-            (* emit through a load session: rows go straight into the table
-               arenas, every touched index is built bottom-up at finish
-               (index.build spans), and a failed shred drains cleanly *)
-            let t0 = Obskit.Clock.now_ns () in
-            let session = Db.load_session t.db in
-            (try
-               Obskit.Trace.with_span "shred.bulk" (fun () -> M.shred_bulk session ~doc ix);
-               (* the registry row rides the same session, so on a durable
-                  store it commits atomically with the document's rows —
-                  recovery never sees a registered document without its
-                  data, or shredded rows without their registration *)
-               Db.session_insert session "documents" (registry_row ?name doc dom)
-             with e ->
-               Db.abort_session session;
-               raise e);
-            let rows = Db.finish_session session in
-            let dur_ns = Obskit.Clock.now_ns () - t0 in
-            Relstore.Metrics.incr ~by:rows "store.load.rows";
-            Obskit.Trace.add_attr "rows" (string_of_int rows);
-            Obskit.Trace.add_attr "rows_per_sec"
-              (Printf.sprintf "%.0f" (float_of_int rows *. 1e9 /. float_of_int (max 1 dur_ns)))
-          end
-          else begin
-            M.shred t.db ~doc ix;
-            Db.insert_row_array t.db "documents" (registry_row ?name doc dom)
-          end));
+          (* emit through a load session: rows go straight into the table
+             arenas, every touched index is built bottom-up at finish
+             (index.build spans), and a failed shred drains cleanly *)
+          let t0 = Obskit.Clock.now_ns () in
+          let session = Db.load_session t.db in
+          (try
+             Obskit.Trace.with_span "shred.bulk" (fun () -> M.shred_bulk session ~doc ix);
+             (* the registry row rides the same session, so on a durable
+                store it commits atomically with the document's rows —
+                recovery never sees a registered document without its
+                data, or shredded rows without their registration *)
+             Db.session_insert session "documents" (registry_row ?name doc dom)
+           with e ->
+             Db.abort_session session;
+             raise e);
+          let rows = Db.finish_session session in
+          let dur_ns = Obskit.Clock.now_ns () - t0 in
+          Relstore.Metrics.incr ~by:rows "store.load.rows";
+          Obskit.Trace.add_attr "rows" (string_of_int rows);
+          Obskit.Trace.add_attr "rows_per_sec"
+            (Printf.sprintf "%.0f" (float_of_int rows *. 1e9 /. float_of_int (max 1 dur_ns)))));
   (* schemes with data-dependent tables (binary, universal) may have created
      new tables during the shred; index creation is idempotent *)
   if t.indexes then M.create_indexes t.db;

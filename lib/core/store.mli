@@ -20,7 +20,6 @@ val create :
   ?dtd:Xmlkit.Dtd.t ->
   ?validate:bool ->
   ?indexes:bool ->
-  ?bulk:bool ->
   ?metrics_label:string ->
   ?durable:string ->
   string ->
@@ -28,10 +27,10 @@ val create :
 (** [create scheme] builds an empty store. The ["inline"] scheme requires
     [~dtd]. [~validate:true] checks each document against the DTD before
     storing. [~indexes:false] skips the scheme's recommended secondary
-    indexes (benchmark F3 measures the difference). [~bulk:false] shreds
-    row-at-a-time instead of through a bulk-load session with deferred
-    bottom-up index builds (default on; results are identical either way —
-    benchmark F11 measures the difference). [~metrics_label] overrides the
+    indexes (benchmark F3 measures the difference). Documents shred
+    through a bulk-load session: appends with deferred index maintenance,
+    each B+-tree built bottom-up when the document finishes (benchmark F11
+    measures the rate). [~metrics_label] overrides the
     auto-generated ["scheme#N"] label that keeps this instance's metrics
     series separate from other live stores'. [~durable:dir] roots the
     store in a fresh directory (paged checkpoints + write-ahead log):
@@ -47,15 +46,6 @@ val metrics_label : t -> string
 (** The label this store's operations record metrics under; pass it to
     [Relstore.Metrics.report ~label] (or [counter]/[histogram_list]) to
     read only this instance's series. *)
-
-val set_bulk_load : t -> bool -> unit
-(** Toggle bulk loading (on by default, also for {!load}ed stores):
-    documents shred through a {!Relstore.Database.load_session} — appends
-    with deferred index maintenance, each B+-tree built bottom-up when the
-    document finishes — instead of maintaining every index per row. Stored
-    contents and query results are identical either way. *)
-
-val bulk_load : t -> bool
 
 (** {1 Documents} *)
 

@@ -58,6 +58,22 @@ let agg_to_string a =
       (if a.agg_distinct then "DISTINCT " else "")
       (match a.agg_arg with Some e -> Sql_ast.expr_to_string e | None -> "")
 
+(* The operator's kind: a constant, so naming a span costs no rendering. *)
+let node_kind = function
+  | Seq_scan _ -> "SeqScan"
+  | Index_scan _ -> "IndexScan"
+  | Index_probes _ -> "IndexProbes"
+  | Filter _ -> "Filter"
+  | Project _ -> "Project"
+  | Nl_join _ -> "NestedLoopJoin"
+  | Hash_join _ -> "HashJoin"
+  | Staircase_join _ -> "StaircaseJoin"
+  | Aggregate _ -> "Aggregate"
+  | Sort _ -> "Sort"
+  | Distinct _ -> "Distinct"
+  | Limit _ -> "Limit"
+  | Union_all _ -> "UnionAll"
+
 (* One operator's own EXPLAIN line, without its children. *)
 let node_line plan =
   match plan with
@@ -178,11 +194,12 @@ let annotated_to_string a = String.concat "\n" (annotated_lines 0 a)
 let rec fold_annotated f acc a = List.fold_left (fold_annotated f) (f acc a) a.an_children
 
 (* Bridge an executed operator tree into the active trace as synthesized
-   child spans of the innermost open span (the execute span). The
-   annotated tree records inclusive durations but not start offsets, so
-   starts are synthesized: each node starts where its previous sibling
-   ended, clamped to its parent's interval — well-nested by construction,
-   with durations faithful to the measurement. *)
+   child spans of the innermost open span (the execute span), each named
+   by its operator kind (the full EXPLAIN line stays in ANALYZE output and
+   the slow log). The annotated tree records inclusive durations but not
+   start offsets, so starts are synthesized: each node starts where its
+   previous sibling ended, clamped to its parent's interval — well-nested
+   by construction, with durations faithful to the measurement. *)
 let record_spans a =
   match Obskit.Trace.current () with
   | None -> ()
@@ -194,7 +211,7 @@ let record_spans a =
         Obskit.Trace.emit ~parent ~start_ns ~dur_ns:dur
           ~attrs:
             [ ("rows", string_of_int n.an_rows); ("batches", string_of_int n.an_batches) ]
-          (annotated_op n)
+          (node_kind n.an_node)
       in
       let off = ref start_ns in
       List.iter

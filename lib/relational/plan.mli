@@ -96,12 +96,17 @@ val annotated_to_string : annotated -> string
 val fold_annotated : ('a -> annotated -> 'a) -> 'a -> annotated -> 'a
 (** Pre-order fold over the operator tree. *)
 
+val node_kind : t -> string
+(** The operator's kind ("SeqScan", "IndexScan", "HashJoin", ...): the
+    first word of its EXPLAIN line. *)
+
 val record_spans : annotated -> unit
 (** Bridge an executed operator tree into the active trace as synthesized
     finished spans under the innermost open span (no-op outside a
-    recorded trace). Start offsets are synthesized — siblings laid out
-    sequentially, clamped inside the parent interval — since the
-    annotated tree only records inclusive durations. *)
+    recorded trace), each named by {!node_kind}. Start offsets are
+    synthesized — siblings laid out sequentially, clamped inside the
+    parent interval — since the annotated tree only records inclusive
+    durations. *)
 
 val annotated_operator_count : annotated -> int
 

@@ -116,10 +116,9 @@ let create_indexes db =
         (all_label_tables db ~kind))
     [ "e"; "a" ]
 
-(* Per-node rows go through the [emit] sink (row-at-a-time or bulk
-   session); the label registry and its DDL stay on [db] — mid-shred
-   lookups read b_labels by sequential scan, which sees appended rows
-   either way. *)
+(* Per-node rows go through the bulk session's [emit]; the label registry
+   and its DDL stay on [db] — mid-shred lookups read b_labels by
+   sequential scan, which sees appended rows. *)
 let shred_into emit db ~doc ix =
   for n = 1 to Index.count ix - 1 do
     let source = Index.parent ix n in
@@ -150,7 +149,6 @@ let shred_into emit db ~doc ix =
     | Index.Document -> ()
   done
 
-let shred db ~doc ix = shred_into (Db.insert_row_array db) db ~doc ix
 let shred_bulk session ~doc ix =
   shred_into (Db.session_insert session) (Db.session_db session) ~doc ix
 
@@ -662,7 +660,6 @@ let mapping : Mapping.mapping =
     let description = description
     let create_schema = create_schema
     let create_indexes = create_indexes
-    let shred = shred
     let shred_bulk = shred_bulk
     let reconstruct = reconstruct
     let query = query

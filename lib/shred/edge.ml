@@ -41,8 +41,6 @@ let create_indexes db =
   ignore (Db.exec db "CREATE INDEX IF NOT EXISTS edge_name ON edge (name)");
   ignore (Db.exec db "CREATE INDEX IF NOT EXISTS edge_target ON edge (target)")
 
-(* The traversal is written against an [emit] sink so the same loop serves
-   the row-at-a-time path and a bulk-load session. *)
 let shred_into emit ~doc ix =
   let insert ~source ~ordinal ~kind ~name ~target ~value =
     emit "edge"
@@ -73,7 +71,6 @@ let shred_into emit ~doc ix =
     | Index.Document -> ()
   done
 
-let shred db ~doc ix = shred_into (Db.insert_row_array db) ~doc ix
 let shred_bulk session ~doc ix = shred_into (Db.session_insert session) ~doc ix
 
 (* ------------------------------------------------------------------ *)
@@ -511,7 +508,6 @@ let mapping : Mapping.mapping =
     let description = description
     let create_schema = create_schema
     let create_indexes = create_indexes
-    let shred = shred
     let shred_bulk = shred_bulk
     let reconstruct = reconstruct
     let query = query

@@ -271,7 +271,6 @@ let make (dtd : Dtd.t) : Mapping.mapping =
           layout.root_type;
       shred_tabled ~parent_id:None ~ordinal:1 root (table_of layout layout.root_type)
 
-    let shred db ~doc ix = shred_into (Db.insert_row_array db) ~doc ix
     let shred_bulk session ~doc ix = shred_into (Db.session_insert session) ~doc ix
 
     (* -------------------------------------------------------------- *)

@@ -60,7 +60,6 @@ let shred_into emit ~doc ix =
       |]
   done
 
-let shred db ~doc ix = shred_into (Db.insert_row_array db) ~doc ix
 let shred_bulk session ~doc ix = shred_into (Db.session_insert session) ~doc ix
 
 (* ------------------------------------------------------------------ *)
@@ -336,7 +335,6 @@ let mapping : Mapping.mapping =
     let description = description
     let create_schema = create_schema
     let create_indexes = create_indexes
-    let shred = shred
     let shred_bulk = shred_bulk
     let reconstruct = reconstruct
     let query = query

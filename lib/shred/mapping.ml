@@ -29,13 +29,11 @@ module type MAPPING = sig
   (** Create the mapping's recommended secondary indexes; kept separate so
       the benchmark harness can measure indexed vs unindexed (F3). *)
 
-  val shred : Db.t -> doc:int -> Index.t -> unit
-  (** Store one document under document id [doc], row at a time. *)
-
   val shred_bulk : Db.session -> doc:int -> Index.t -> unit
-  (** Same rows, emitted through a bulk-load session: appends go straight
-      into the table arenas and every index is built bottom-up when the
-      caller finishes the session (see {!Relstore.Database.load_session}). *)
+  (** Store one document under document id [doc] through a bulk-load
+      session: appends go straight into the table arenas and every index
+      is built bottom-up when the caller finishes the session (see
+      {!Relstore.Database.load_session}). *)
 
   val reconstruct : Db.t -> doc:int -> Dom.t
   (** Rebuild the full document from its relations. *)

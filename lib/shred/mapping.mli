@@ -29,11 +29,10 @@ module type MAPPING = sig
   (** Recommended secondary indexes; separate so benchmark F3 can measure
       indexed vs unindexed. *)
 
-  val shred : Db.t -> doc:int -> Index.t -> unit
-
   val shred_bulk : Db.session -> doc:int -> Index.t -> unit
-  (** Same rows as {!shred}, emitted through a bulk-load session (deferred
-      bottom-up index builds; see {!Relstore.Database.load_session}). *)
+  (** Store one document under document id [doc] through a bulk-load
+      session (deferred bottom-up index builds; see
+      {!Relstore.Database.load_session}). The only shred entry. *)
 
   val reconstruct : Db.t -> doc:int -> Dom.t
   val query : Db.t -> doc:int -> Xpathkit.Ast.path -> query_result

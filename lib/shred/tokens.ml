@@ -67,7 +67,6 @@ let shred_into sink ~doc ix =
       | Sax.Pi_event { target; data } -> emit ~kind:"p" ~name:(Some target) ~value:(Some data))
     (Index.to_document ix)
 
-let shred db ~doc ix = shred_into (Db.insert_row_array db) ~doc ix
 let shred_bulk session ~doc ix = shred_into (Db.session_insert session) ~doc ix
 
 let stream_query ~doc =
@@ -120,7 +119,6 @@ let mapping : Mapping.mapping =
     let description = description
     let create_schema = create_schema
     let create_indexes = create_indexes
-    let shred = shred
     let shred_bulk = shred_bulk
     let reconstruct = reconstruct
     let query = query

@@ -190,7 +190,6 @@ let shred_into emit db ~doc ix =
     | Index.Text | Index.Comment | Index.Pi | Index.Document -> ()
   done
 
-let shred db ~doc ix = shred_into (Db.insert_row_array db) db ~doc ix
 let shred_bulk session ~doc ix =
   shred_into (Db.session_insert session) (Db.session_db session) ~doc ix
 
@@ -644,7 +643,6 @@ let mapping : Mapping.mapping =
     let description = description
     let create_schema = create_schema
     let create_indexes = create_indexes
-    let shred = shred
     let shred_bulk = shred_bulk
     let reconstruct = reconstruct
     let query = query

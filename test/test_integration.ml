@@ -144,32 +144,6 @@ let test_cross_scheme_roundtrip () =
       check_bool (scheme ^ " round trip") true (Dom.equal dom (Store.get_document store 0)))
     (all_stores ())
 
-(* A bulk-loaded store answers every workload query exactly as a
-   row-at-a-time store does, for every scheme: deferring the index
-   builds must be invisible to readers. *)
-let test_bulk_row_equivalence () =
-  let dom = Lazy.force auction_doc in
-  List.iter
-    (fun scheme ->
-      let make ~bulk =
-        let store =
-          if String.equal scheme "inline" then
-            Store.create ~dtd:(Lazy.force Xmlwork.Auction.dtd) ~bulk scheme
-          else Store.create ~bulk scheme
-        in
-        ignore (Store.add_document store dom);
-        store
-      in
-      let row = make ~bulk:false and bulk = make ~bulk:true in
-      List.iter
-        (fun (q : Xmlwork.Queries.query) ->
-          check_strings
-            (q.Xmlwork.Queries.qid ^ " bulk equals row on " ^ scheme)
-            (Store.query_values row 0 q.Xmlwork.Queries.xpath)
-            (Store.query_values bulk 0 q.Xmlwork.Queries.xpath))
-        Xmlwork.Queries.auction_queries)
-    (Store.schemes ())
-
 (* Full pipeline: generate -> validate -> store -> update -> query ->
    reconstruct -> compress -> decompress -> re-store -> query. *)
 let test_full_pipeline () =
@@ -351,7 +325,6 @@ let () =
         [
           Alcotest.test_case "query consistency" `Slow test_cross_scheme_consistency;
           Alcotest.test_case "round trips" `Slow test_cross_scheme_roundtrip;
-          Alcotest.test_case "bulk equals row-at-a-time" `Slow test_bulk_row_equivalence;
           Alcotest.test_case "observed equals unobserved" `Slow test_observed_equals_unobserved;
         ] );
       ( "staircase join",

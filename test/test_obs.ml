@@ -249,6 +249,12 @@ let span_tree_prop =
 (* ------------------------------------------------------------------ *)
 (* End-to-end traces through the store *)
 
+let operator_kinds =
+  [
+    "SeqScan"; "IndexScan"; "IndexProbes"; "Filter"; "Project"; "NestedLoopJoin"; "HashJoin";
+    "StaircaseJoin"; "Aggregate"; "Sort"; "Distinct"; "Limit"; "UnionAll";
+  ]
+
 let test_store_trace_phases () =
   List.iter
     (fun scheme ->
@@ -273,10 +279,16 @@ let test_store_trace_phases () =
       let execute =
         List.find (fun s -> s.Trace.name = "sql.execute" && s.Trace.attrs <> []) spans
       in
-      check_bool
-        (scheme ^ " operators under execute")
-        true
-        (List.exists (fun s -> s.Trace.parent_id = Some execute.Trace.span_id) spans);
+      let operators =
+        List.filter (fun s -> s.Trace.parent_id = Some execute.Trace.span_id) spans
+      in
+      check_bool (scheme ^ " operators under execute") true (operators <> []);
+      (* operator spans are named by kind, never by a rendered plan line *)
+      List.iter
+        (fun s ->
+          if not (List.mem s.Trace.name operator_kinds) then
+            Alcotest.failf "%s: operator span named %S" scheme s.Trace.name)
+        operators;
       match Export.validate_chrome_json (Export.to_chrome_json spans) with
       | Ok _ -> ()
       | Error e -> Alcotest.failf "%s: chrome export: %s" scheme e)

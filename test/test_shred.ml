@@ -48,12 +48,22 @@ let workload =
     "//age/../name";
   ]
 
+(* Shred one document the way the store does: through a bulk-load
+   session, aborted if the scheme rejects the document. *)
+let shred (module M : Xmlshred.Mapping.MAPPING) db ~doc dom =
+  let session = Db.load_session db in
+  match M.shred_bulk session ~doc (Index.of_document dom) with
+  | () -> ignore (Db.finish_session session)
+  | exception e ->
+    Db.abort_session session;
+    raise e
+
 let setup (module M : Xmlshred.Mapping.MAPPING) ?(src = doc_src) () =
   let db = Db.create () in
   M.create_schema db;
   M.create_indexes db;
   let dom = parse src in
-  M.shred db ~doc:0 (Index.of_document dom);
+  shred (module M) db ~doc:0 dom;
   (db, dom)
 
 let native_values dom q =
@@ -84,8 +94,8 @@ let test_multi_doc m () =
   M.create_indexes db;
   let d0 = parse "<a><b>first</b></a>" in
   let d1 = parse "<a><b>second</b><b>third</b></a>" in
-  M.shred db ~doc:0 (Index.of_document d0);
-  M.shred db ~doc:1 (Index.of_document d1);
+  shred (module M) db ~doc:0 d0;
+  shred (module M) db ~doc:1 d1;
   let q = Xpathkit.Parser.parse_path "/a/b" in
   check_strings "doc 0" [ "first" ] (M.query db ~doc:0 q).Xmlshred.Mapping.values;
   check_strings "doc 1" [ "second"; "third" ] (M.query db ~doc:1 q).Xmlshred.Mapping.values;
@@ -174,7 +184,7 @@ let roundtrip_prop m =
     (fun dom ->
       let db = Db.create () in
       M.create_schema db;
-      M.shred db ~doc:0 (Index.of_document dom);
+      shred (module M) db ~doc:0 dom;
       Dom.equal dom (M.reconstruct db ~doc:0))
 
 let query_equiv_prop m =
@@ -187,7 +197,7 @@ let query_equiv_prop m =
       let db = Db.create () in
       M.create_schema db;
       M.create_indexes db;
-      M.shred db ~doc:0 (Index.of_document dom);
+      shred (module M) db ~doc:0 dom;
       List.for_all
         (fun q ->
           let expected = native_values dom q in
@@ -239,7 +249,7 @@ let random_path_prop m =
         let db = Db.create () in
         M.create_schema db;
         M.create_indexes db;
-        M.shred db ~doc:0 (Index.of_document dom);
+        shred (module M) db ~doc:0 dom;
         let expected = native_values dom path_src in
         let got = (M.query db ~doc:0 path).Xmlshred.Mapping.values in
         expected = got)
@@ -261,7 +271,7 @@ let test_high_byte_text m () =
   let db = Db.create () in
   M.create_schema db;
   M.create_indexes db;
-  M.shred db ~doc:0 (Index.of_document dom);
+  shred (module M) db ~doc:0 dom;
   check_bool "round trip" true (Dom.equal dom (M.reconstruct db ~doc:0));
   let got = (M.query db ~doc:0 (Xpathkit.Parser.parse_path "/r/a")).Xmlshred.Mapping.values in
   check_strings "high-byte values in document order" [ "ab\xff"; "ab\xffz"; "abc" ] got
@@ -348,7 +358,7 @@ let inline_setup src =
   M.create_schema db;
   M.create_indexes db;
   let dom = parse src in
-  M.shred db ~doc:0 (Index.of_document dom);
+  shred (module M) db ~doc:0 dom;
   (db, dom)
 
 let test_inline_roundtrip () =
@@ -383,11 +393,11 @@ let test_inline_rejects_invalid () =
   let db = Db.create () in
   M.create_schema db;
   let bad = parse "<site><people><person id=\"p1\"><nosuch/></person></people><items/></site>" in
-  (match M.shred db ~doc:0 (Index.of_document bad) with
+  (match shred (module M) db ~doc:0 bad with
   | exception Xmlshred.Inline.Unsupported _ -> ()
   | _ -> Alcotest.fail "expected Unsupported for undeclared child");
   let bad_root = parse "<wrong/>" in
-  match M.shred db ~doc:1 (Index.of_document bad_root) with
+  match shred (module M) db ~doc:1 bad_root with
   | exception Xmlshred.Inline.Unsupported _ -> ()
   | _ -> Alcotest.fail "expected Unsupported for wrong root"
 
@@ -407,7 +417,7 @@ let inline_roundtrip_prop =
   QCheck.Test.make ~name:"inline shred/reconstruct identity" ~count:60 arb_site_doc (fun dom ->
       let db = Db.create () in
       M.create_schema db;
-      M.shred db ~doc:0 (Index.of_document dom);
+      shred (module M) db ~doc:0 dom;
       Dom.equal dom (M.reconstruct db ~doc:0))
 
 let inline_query_equiv_prop =
@@ -428,7 +438,7 @@ let inline_query_equiv_prop =
       let db = Db.create () in
       M.create_schema db;
       M.create_indexes db;
-      M.shred db ~doc:0 (Index.of_document dom);
+      shred (module M) db ~doc:0 dom;
       List.for_all
         (fun q ->
           let expected = native_values dom q in
@@ -452,7 +462,7 @@ let test_inline_recursive () =
       "<part><partname>engine</partname><part><partname>piston</partname></part>\
        <part><partname>valve</partname><part><partname>spring</partname></part></part></part>"
   in
-  M.shred db ~doc:0 (Index.of_document dom);
+  shred (module M) db ~doc:0 dom;
   check_bool "recursive round trip" true (Dom.equal dom (M.reconstruct db ~doc:0));
   let q s = (M.query db ~doc:0 (Xpathkit.Parser.parse_path s)).Xmlshred.Mapping.values in
   check_strings "child chain" [ "engine" ] (q "/part/partname");
@@ -498,7 +508,7 @@ let test_dewey_large_fanout () =
   let db = Db.create () in
   M.create_schema db;
   M.create_indexes db;
-  M.shred db ~doc:0 (Index.of_document dom);
+  shred (module M) db ~doc:0 dom;
   check_bool "round trip at fanout 12000" true (Dom.equal dom (M.reconstruct db ~doc:0));
   let got = (M.query db ~doc:0 (Xpathkit.Parser.parse_path "/r/k")).Xmlshred.Mapping.values in
   check_strings "label order is document order past 9999" (List.init n string_of_int) got
