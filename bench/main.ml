@@ -434,9 +434,12 @@ let f6 cfg =
             Xmlshred.Mapping.int_column
               (Relstore.Database.query_prepared ~params db (Relstore.Database.prepare_query db q))
           in
-          let stepwise () = Xmlshred.Edge.stepwise db ~doc:0 simple in
+          let stepwise () =
+            Xmlshred.Frontier.stepwise (module Xmlshred.Edge.Scheme) db ~doc:0 simple
+          in
           let targets = chain () in
-          let step_targets, step_sqls = stepwise () in
+          let step_answer, step_sqls = stepwise () in
+          let step_targets = Xmlshred.Frontier.ids step_answer in
           ignore (K.check (targets = step_targets) (qid ^ " chain vs stepwise"));
           K.compare cfg [ ("chain", K.timed chain); ("stepwise", K.timed stepwise) ]
           |> List.map (fun (mode, t) ->

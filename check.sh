@@ -36,6 +36,8 @@ done
 tmpdir=$(mktemp -d)
 trap 'rm -rf "$tmpdir"' EXIT
 dune exec bin/xmlstore_cli.exe -- generate auction --scale 0.02 > "$tmpdir/doc.xml"
+# a larger document for the pooled data plane and the lint gate (below)
+dune exec bin/xmlstore_cli.exe -- generate auction --scale 0.1 > "$tmpdir/lintdoc.xml"
 for scheme in edge interval dewey; do
   dune exec bin/xmlstore_cli.exe -- trace export -s "$scheme" "$tmpdir/doc.xml" \
     --query "/site/people/person/name" --out "$tmpdir/trace-$scheme.json"
@@ -104,10 +106,12 @@ kill "$serve_pid" 2>/dev/null || true
 wait "$serve_pid" 2>/dev/null || true
 
 # parallel data plane: serve the pooled store on 2 reader domains, fire
-# concurrent POST /query connections at it (every response must be 200
-# with byte-identical answers), then commit a load through POST /load and
-# query the new document back through a replica
-dune exec bin/xmlstore_cli.exe -- serve --scheme edge "$tmpdir/doc.xml" \
+# four concurrent keep-alive connections at it, each sending a child path
+# and then Q7 (a '//' path with a predicate, answered by the frontier
+# evaluator) as POST /query (every response must be 200 with
+# byte-identical answers per query), then commit a load through POST
+# /load and query the new document back through a replica
+dune exec bin/xmlstore_cli.exe -- serve --scheme edge "$tmpdir/lintdoc.xml" \
   --port 0 --readers 2 > "$tmpdir/pserve.out" &
 pserve_pid=$!
 port=""
@@ -120,15 +124,21 @@ test -n "$port"
 qpids=""
 for i in 1 2 3 4; do
   curl -fsS -X POST "http://127.0.0.1:$port/query" \
-    -d '{"doc": 0, "xpath": "/site/people/person/name"}' \
-    > "$tmpdir/pq$i.json" &
+    -d '{"doc": 0, "xpath": "/site/people/person/name"}' -o "$tmpdir/pq$i.json" \
+    --next -fsS -X POST "http://127.0.0.1:$port/query" \
+    -d "{\"doc\": 0, \"xpath\": \"//item[location='United States']/name\"}" \
+    -o "$tmpdir/pq7-$i.json" &
   qpids="$qpids $!"
 done
 for p in $qpids; do wait "$p"; done
-for i in 2 3 4; do diff "$tmpdir/pq1.json" "$tmpdir/pq$i.json"; done
+for i in 2 3 4; do
+  diff "$tmpdir/pq1.json" "$tmpdir/pq$i.json"
+  diff "$tmpdir/pq7-1.json" "$tmpdir/pq7-$i.json"
+done
 grep -q '"count"' "$tmpdir/pq1.json"
+grep -q '"count":[1-9]' "$tmpdir/pq7-1.json"
 curl -fsS -X POST "http://127.0.0.1:$port/load" \
-  --data-binary @"$tmpdir/doc.xml" > "$tmpdir/pload.json"
+  --data-binary @"$tmpdir/lintdoc.xml" > "$tmpdir/pload.json"
 grep -q '"doc"' "$tmpdir/pload.json"
 grep -q '"epoch"' "$tmpdir/pload.json"
 # the freshly loaded document (a copy of doc 0) answers identically
@@ -150,7 +160,6 @@ wait "$pserve_pid" 2>/dev/null || true
 # a document where every queried region is populated — at the 0.02 smoke
 # scale the generator emits no europe items, and the analyzer correctly
 # flags Q1 as statically empty on such a document.
-dune exec bin/xmlstore_cli.exe -- generate auction --scale 0.1 > "$tmpdir/lintdoc.xml"
 dune exec bin/xmlstore_cli.exe -- generate auction --dtd > "$tmpdir/auction.dtd"
 dune exec bin/xmlstore_cli.exe -- lint --all-schemes --workload --strict \
   --dtd "$tmpdir/auction.dtd" "$tmpdir/lintdoc.xml"

@@ -34,7 +34,10 @@ type t = {
   lock : Mutex.t;
 }
 
-let create ?(capacity = 128) () =
+(* The default holds every statement text one Binary '//' query issues
+   (about 290 at any auction scale: a few shapes per label table and IN
+   arity), so a repeated run does not re-plan what it evicted. *)
+let create ?(capacity = 1024) () =
   {
     entries = Hashtbl.create (2 * capacity);
     capacity;

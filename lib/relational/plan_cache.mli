@@ -10,7 +10,7 @@
 type t
 
 val create : ?capacity:int -> unit -> t
-(** LRU capacity defaults to 128 entries. *)
+(** LRU capacity defaults to 1024 entries. *)
 
 val set_enabled : t -> bool -> unit
 (** Disabling empties the cache (counted as one invalidation when it

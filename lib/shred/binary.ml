@@ -155,15 +155,6 @@ let shred_bulk session ~doc ix =
 (* ------------------------------------------------------------------ *)
 (* Reconstruction: merge all partitions back into edge rows. *)
 
-type row = {
-  r_source : int;
-  r_ordinal : int;
-  r_kind : string;
-  r_name : string;
-  r_target : int;
-  r_value : string;
-}
-
 (* SELECT [cols] FROM tbl WHERE doc = ? [AND source = ?] [AND target = ?].
    One statement shape per partition table; ids are bound parameters. *)
 let fetch_cols db ~doc ?source ?target tbl cols =
@@ -180,108 +171,38 @@ let fetch_cols db ~doc ?source ?target tbl cols =
   (query_built db ~params:(Sb.params b) q).Relstore.Executor.rows
 
 let fetch_all db ~doc =
-  let rows = ref [] in
-  List.iter
-    (fun (label, tbl) ->
-      List.iter
-        (fun a ->
-          rows :=
-            {
-              r_source = (match a.(0) with Value.Int i -> i | _ -> err "bad source");
-              r_ordinal = (match a.(1) with Value.Int i -> i | _ -> err "bad ordinal");
-              r_kind = "e";
-              r_name = label;
-              r_target = (match a.(2) with Value.Int i -> i | _ -> err "bad target");
-              r_value = "";
-            }
-            :: !rows)
-        (fetch_cols db ~doc tbl [ "source"; "ordinal"; "target" ]))
-    (all_label_tables db ~kind:"e");
-  List.iter
-    (fun (label, tbl) ->
-      List.iter
-        (fun a ->
-          rows :=
-            {
-              r_source = (match a.(0) with Value.Int i -> i | _ -> err "bad source");
-              r_ordinal = (match a.(1) with Value.Int i -> i | _ -> err "bad ordinal");
-              r_kind = "a";
-              r_name = label;
-              r_target = (match a.(2) with Value.Int i -> i | _ -> err "bad target");
-              r_value = Value.to_string a.(3);
-            }
-            :: !rows)
-        (fetch_cols db ~doc tbl [ "source"; "ordinal"; "target"; "value" ]))
-    (all_label_tables db ~kind:"a");
-  List.iter
-    (fun a ->
-      rows :=
+  let int = function Value.Int i -> i | _ -> err "bad id" in
+  let text i (a : Value.t array) = match a.(i) with Value.Null -> "" | v -> Value.to_string v in
+  (* one partition's rows, read as (source, ordinal, target, extra cols) *)
+  let rows tbl cols ~kind ~name ~value =
+    List.map
+      (fun a ->
         {
-          r_source = (match a.(0) with Value.Int i -> i | _ -> err "bad source");
-          r_ordinal = (match a.(1) with Value.Int i -> i | _ -> err "bad ordinal");
-          r_kind = "t";
-          r_name = "";
-          r_target = (match a.(2) with Value.Int i -> i | _ -> err "bad target");
-          r_value = Value.to_string a.(3);
-        }
-        :: !rows)
-    (fetch_cols db ~doc "b_cdata" [ "source"; "ordinal"; "target"; "value" ]);
-  List.iter
-    (fun a ->
-      rows :=
-        {
-          r_source = (match a.(0) with Value.Int i -> i | _ -> err "bad source");
-          r_ordinal = (match a.(1) with Value.Int i -> i | _ -> err "bad ordinal");
-          r_kind = Value.to_string a.(2);
-          r_name = (match a.(3) with Value.Null -> "" | v -> Value.to_string v);
-          r_target = (match a.(4) with Value.Int i -> i | _ -> err "bad target");
-          r_value = Value.to_string a.(5);
-        }
-        :: !rows)
-    (fetch_cols db ~doc "b_misc" [ "source"; "ordinal"; "kind"; "name"; "target"; "value" ]);
-  !rows
-
-let build_tree by_source (r : row) =
-  let rec build (r : row) : Dom.node =
-    match r.r_kind with
-    | "e" ->
-      let children = Option.value ~default:[] (Hashtbl.find_opt by_source r.r_target) in
-      let children = List.sort (fun a b -> compare a.r_ordinal b.r_ordinal) children in
-      let attrs, content = List.partition (fun c -> c.r_kind = "a") children in
-      Dom.Element
-        {
-          Dom.tag = r.r_name;
-          attrs = List.map (fun a -> Dom.attr a.r_name a.r_value) attrs;
-          children = List.map build content;
-        }
-    | "t" -> Dom.Text r.r_value
-    | "c" -> Dom.Comment r.r_value
-    | "p" -> Dom.Pi { target = r.r_name; data = r.r_value }
-    | "a" -> Dom.Text r.r_value
-    | k -> err "unknown kind %s" k
+          Edge.r_source = int a.(0);
+          r_ordinal = int a.(1);
+          r_kind = kind a;
+          r_name = name a;
+          r_target = int a.(2);
+          r_value = value a;
+        })
+      (fetch_cols db ~doc tbl ([ "source"; "ordinal"; "target" ] @ cols))
   in
-  build r
+  let labelled kind cols value =
+    List.concat_map
+      (fun (label, tbl) -> rows tbl cols ~kind:(fun _ -> kind) ~name:(fun _ -> label) ~value)
+      (all_label_tables db ~kind)
+  in
+  labelled "e" [] (fun _ -> "")
+  @ labelled "a" [ "value" ] (text 3)
+  @ rows "b_cdata" [ "value" ] ~kind:(fun _ -> "t") ~name:(fun _ -> "") ~value:(text 3)
+  @ rows "b_misc" [ "value"; "kind"; "name" ] ~kind:(text 4) ~name:(text 5) ~value:(text 3)
 
-let reconstruct db ~doc =
-  let rows = fetch_all db ~doc in
-  let by_source = Hashtbl.create 256 in
-  List.iter
-    (fun r ->
-      Hashtbl.replace by_source r.r_source
-        (r :: Option.value ~default:[] (Hashtbl.find_opt by_source r.r_source)))
-    rows;
-  match Option.value ~default:[] (Hashtbl.find_opt by_source 0) with
-  | [ root ] -> (
-    match build_tree by_source root with
-    | Dom.Element e -> Dom.document e
-    | _ -> err "root is not an element")
-  | [] -> err "document %d is not stored" doc
-  | _ -> err "document %d has multiple roots" doc
+let reconstruct db ~doc = Edge.document_of_rows ~doc (fetch_all db ~doc)
 
 (* Subtree of one node, via repeated per-source fetches. *)
 let rec node_of_target db ~doc ~kind ~name ~value target : Dom.node =
   match kind with
-  | "t" | "a" -> if kind = "t" then Dom.Text value else Dom.Text value
+  | "t" | "a" -> Dom.Text value
   | "c" -> Dom.Comment value
   | "p" -> Dom.Pi { target = name; data = value }
   | "e" ->
@@ -394,7 +315,7 @@ let pred_sql db ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
         ( [ (tbl, a) ],
           [
             on_doc a; child_of a cur;
-            Sb.cmp (P.cmp_binop op) (Sb.to_number (acol a "value")) (Sb.pfloat b v);
+            P.number_cond b op (acol a "value") v;
           ] ))
   | P.Child_value (c, op, v) ->
     need_table "e" c (fun tbl ->
@@ -410,7 +331,7 @@ let pred_sql db ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
         ( [ (tbl, a); ("b_cdata", t) ],
           [
             on_doc a; child_of a cur; on_doc t; child_of t a;
-            Sb.cmp (P.cmp_binop op) (Sb.to_number (acol t "value")) (Sb.pfloat b v);
+            P.number_cond b op (acol t "value") v;
           ] ))
 
 exception Empty_result
@@ -485,136 +406,94 @@ let chain_query db ~doc (simple : Pathquery.t) =
   in
   (q, Sb.params b)
 
-(* Stepwise evaluation for '//' and wildcards: each step consults one table
-   per candidate tag — the partitioning tax. *)
-let stepwise db ~doc (simple : Pathquery.t) =
-  let module P = Pathquery in
-  let sqls = ref [] in
-  (* SELECT target FROM partition WHERE doc = ? AND source IN (?...) *)
-  let sources_in tbl ids =
-    Edge.batched ids (fun chunk ->
-        let b = Sb.binder () in
-        let where =
-          [
-            Sb.eq (Sb.col "doc") (Sb.pint b doc);
-            Sb.in_list (Sb.col "source") (List.map (Sb.pint b) chunk);
-          ]
-        in
-        let q =
-          Sb.query [ Sb.select ~from:[ Sb.from tbl ] ~where [ Sb.proj (Sb.col "target") ] ]
-        in
-        int_column (run_built db ~sqls ~params:(Sb.params b) q))
-  in
-  let children_of ids ~tag_filter =
-    let tables =
-      match tag_filter with
-      | Some n -> ( match label_table db ~kind:"e" n with Some t -> [ (n, t) ] | None -> [])
-      | None -> all_label_tables db ~kind:"e"
-    in
-    List.concat_map (fun (_, tbl) -> sources_in tbl ids) tables
-  in
-  let check_pred target (p : P.pred) =
-    let probe ~b ~from ~where proj =
-      let q = Sb.query [ Sb.select ~from ~where ~limit:1 [ Sb.proj proj ] ] in
-      int_column (run_built db ~sqls ~params:(Sb.params b) q) <> []
-    in
-    (* one-table probe on (doc, source) plus branch-specific conditions *)
-    let simple_probe tbl extra =
-      let b = Sb.binder () in
-      let base =
-        [ Sb.eq (Sb.col "doc") (Sb.pint b doc); Sb.eq (Sb.col "source") (Sb.pint b target) ]
-      in
-      probe ~b ~from:[ Sb.from tbl ] ~where:(base @ extra b) (Sb.col "target")
-    in
-    let child_text_probe tbl extra =
+(* Stepwise evaluation (Frontier) for '//' and wildcards: each step
+   consults one table per candidate tag — the partitioning tax. *)
+
+(* SELECT target FROM partition WHERE doc = ? AND source IN (?...) *)
+let sources_in { Frontier.db; doc; sqls } tbl ids =
+  Frontier.batched ids (fun chunk ->
       let b = Sb.binder () in
       let where =
         [
-          Sb.eq (acol "e" "doc") (Sb.pint b doc);
-          Sb.eq (acol "e" "source") (Sb.pint b target);
-          Sb.eq (acol "t" "doc") (Sb.pint b doc);
-          child_of "t" "e";
+          Sb.eq (Sb.col "doc") (Sb.pint b doc);
+          Sb.in_list (Sb.col "source") (List.map (Sb.pint b) chunk);
         ]
-        @ extra b
       in
-      probe ~b
-        ~from:[ Sb.from ~alias:"e" tbl; Sb.from ~alias:"t" "b_cdata" ]
-        ~where (acol "t" "target")
+      let q = Sb.query [ Sb.select ~from:[ Sb.from tbl ] ~where [ Sb.proj (Sb.col "target") ] ] in
+      int_column (run_built db ~sqls ~params:(Sb.params b) q))
+
+(* Does element [target] satisfy a predicate? A probe on the label's table;
+   a label never stored means the predicate cannot hold. *)
+let check_pred { Frontier.db; doc; sqls } target (p : Pathquery.pred) =
+  let module P = Pathquery in
+  let probe ~b ~from ~where proj =
+    let q = Sb.query [ Sb.select ~from ~where ~limit:1 [ Sb.proj proj ] ] in
+    int_column (run_built db ~sqls ~params:(Sb.params b) q) <> []
+  in
+  (* one-table probe on (doc, source) plus branch-specific conditions *)
+  let simple_probe tbl extra =
+    let b = Sb.binder () in
+    let base =
+      [ Sb.eq (Sb.col "doc") (Sb.pint b doc); Sb.eq (Sb.col "source") (Sb.pint b target) ]
     in
-    match p with
-    | P.Has_child c -> (
-      match label_table db ~kind:"e" c with
-      | None -> false
-      | Some tbl -> simple_probe tbl (fun _ -> []))
-    | P.Has_attr a -> (
-      match label_table db ~kind:"a" a with
-      | None -> false
-      | Some tbl -> simple_probe tbl (fun _ -> []))
-    | P.Attr_value (a, op, v) -> (
-      match label_table db ~kind:"a" a with
-      | None -> false
-      | Some tbl ->
+    probe ~b ~from:[ Sb.from tbl ] ~where:(base @ extra b) (Sb.col "target")
+  in
+  let child_text_probe tbl extra =
+    let b = Sb.binder () in
+    let where =
+      [
+        Sb.eq (acol "e" "doc") (Sb.pint b doc);
+        Sb.eq (acol "e" "source") (Sb.pint b target);
+        Sb.eq (acol "t" "doc") (Sb.pint b doc);
+        child_of "t" "e";
+      ]
+      @ extra b
+    in
+    probe ~b ~from:[ Sb.from ~alias:"e" tbl; Sb.from ~alias:"t" "b_cdata" ] ~where (acol "t" "target")
+  in
+  let on kind label k = match label_table db ~kind label with None -> false | Some tbl -> k tbl in
+  match p with
+  | P.Has_child c -> on "e" c (fun tbl -> simple_probe tbl (fun _ -> []))
+  | P.Has_attr a -> on "a" a (fun tbl -> simple_probe tbl (fun _ -> []))
+  | P.Attr_value (a, op, v) ->
+    on "a" a (fun tbl ->
         simple_probe tbl (fun b -> [ Sb.cmp (P.cmp_binop op) (Sb.col "value") (Sb.ptext b v) ]))
-    | P.Attr_number (a, op, v) -> (
-      match label_table db ~kind:"a" a with
-      | None -> false
-      | Some tbl ->
-        simple_probe tbl (fun b ->
-            [ Sb.cmp (P.cmp_binop op) (Sb.to_number (Sb.col "value")) (Sb.pfloat b v) ]))
-    | P.Child_value (c, op, v) -> (
-      match label_table db ~kind:"e" c with
-      | None -> false
-      | Some tbl ->
+  | P.Attr_number (a, op, v) ->
+    on "a" a (fun tbl -> simple_probe tbl (fun b -> [ P.number_cond b op (Sb.col "value") v ]))
+  | P.Child_value (c, op, v) ->
+    on "e" c (fun tbl ->
         child_text_probe tbl (fun b ->
             [ Sb.cmp (P.cmp_binop op) (acol "t" "value") (Sb.ptext b v) ]))
-    | P.Child_number (c, op, v) -> (
-      match label_table db ~kind:"e" c with
-      | None -> false
-      | Some tbl ->
-        child_text_probe tbl (fun b ->
-            [ Sb.cmp (P.cmp_binop op) (Sb.to_number (acol "t" "value")) (Sb.pfloat b v) ]))
-  in
-  let step_frontier frontier (s : P.step) =
-    let matches =
-      if s.P.desc then begin
-        let acc = ref [] in
-        let current = ref frontier in
-        while !current <> [] do
-          let all_children = children_of !current ~tag_filter:None in
-          let hits =
-            match s.P.test with
-            | P.Any_tag -> all_children
-            | P.Tag n -> children_of !current ~tag_filter:(Some n)
-          in
-          acc := hits @ !acc;
-          current := all_children
-        done;
-        List.sort_uniq compare !acc
-      end
-      else
-        children_of frontier
-          ~tag_filter:(match s.P.test with P.Tag n -> Some n | P.Any_tag -> None)
-        |> List.sort_uniq compare
-    in
-    List.filter (fun t -> List.for_all (check_pred t) s.P.preds) matches
-  in
-  let final = List.fold_left step_frontier [ 0 ] simple.P.steps in
-  let targets =
-    match simple.P.tgt with
-    | P.Elements -> List.sort_uniq compare final
-    | P.Attr_of a -> (
-      match label_table db ~kind:"a" a with
-      | None -> []
-      | Some tbl -> List.sort_uniq compare (sources_in tbl final))
-    | P.Text_of -> List.sort_uniq compare (sources_in "b_cdata" final)
-  in
-  (targets, List.rev !sqls)
+  | P.Child_number (c, op, v) ->
+    on "e" c (fun tbl ->
+        child_text_probe tbl (fun b -> [ P.number_cond b op (acol "t" "value") v ]))
 
-let is_named_chain (simple : Pathquery.t) =
-  List.for_all
-    (fun (s : Pathquery.step) ->
-      (not s.Pathquery.desc) && match s.Pathquery.test with Pathquery.Tag _ -> true | _ -> false)
-    simple.Pathquery.steps
+module Scheme = struct
+  type node = int
+  type leaf = int
+
+  let root = 0
+  let key = Fun.id
+  let tag = None
+
+  let children ctx ids name =
+    let tables =
+      match name with
+      | Some n -> (
+        match label_table ctx.Frontier.db ~kind:"e" n with Some t -> [ (n, t) ] | None -> [])
+      | None -> all_label_tables ctx.Frontier.db ~kind:"e"
+    in
+    List.concat_map (fun (_, tbl) -> sources_in ctx tbl ids) tables
+
+  let holds = check_pred
+
+  let attrs ctx ids a =
+    match label_table ctx.Frontier.db ~kind:"a" a with
+    | None -> []
+    | Some tbl -> sources_in ctx tbl ids
+
+  let texts ctx ids = sources_in ctx "b_cdata" ids
+end
 
 let materialize db ~doc targets sqls joins =
   let node_of t =
@@ -640,7 +519,7 @@ let query db ~doc (path : Xpathkit.Ast.path) : query_result =
   match Pathquery.analyze path with
   | None -> fallback_query ~reconstruct db ~doc path
   | Some simple ->
-    if is_named_chain simple then begin
+    if Frontier.is_named_chain ~wildcards:false simple then begin
       match traced_translate ~scheme:id (fun () -> chain_query db ~doc simple) with
       | q, params ->
         let sqls = ref [] and joins = ref 0 in
@@ -650,8 +529,8 @@ let query db ~doc (path : Xpathkit.Ast.path) : query_result =
         { values = []; nodes = lazy []; sql = []; joins = 0; fallback = false }
     end
     else begin
-      let targets, sqls = stepwise db ~doc simple in
-      materialize db ~doc targets sqls 0
+      let answer, sqls = Frontier.stepwise (module Scheme) db ~doc simple in
+      materialize db ~doc (Frontier.ids answer) sqls 0
     end
 
 let mapping : Mapping.mapping =

@@ -243,7 +243,7 @@ let pred_sql ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
     let a = fresh () in
     ( [ a ],
       child_conds a ~kind:"a" ~name:at
-      @ [ Sb.cmp (P.cmp_binop op) (Sb.to_number (acol a "value")) (Sb.pfloat b v) ] )
+      @ [ P.number_cond b op (acol a "value") v ] )
   | P.Child_value (c, op, v) ->
     let a = fresh () and t = fresh () in
     ( [ a; t ],
@@ -262,7 +262,7 @@ let pred_sql ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
           Sb.eq (acol t "doc") pdoc;
           child_of t a;
           kind_is t "t";
-          Sb.cmp (P.cmp_binop op) (Sb.to_number (acol t "value")) (Sb.pfloat b v);
+          P.number_cond b op (acol t "value") v;
         ] )
 
 let translate ~doc (simple : Pathquery.t) =

@@ -133,8 +133,9 @@ let group_by_source rows =
     rows;
   tbl
 
-let reconstruct db ~doc =
-  let rows = fetch_all_edges db ~doc in
+(* The document rebuilt from its edge rows; Binary rebuilds from the rows
+   of its partitions the same way. *)
+let document_of_rows ~doc rows =
   let by_source = group_by_source rows in
   match Option.value ~default:[] (Hashtbl.find_opt by_source 0) with
   | [ root_row ] -> (
@@ -143,6 +144,8 @@ let reconstruct db ~doc =
     | _ -> err "root edge is not an element")
   | [] -> err "document %d is not stored" doc
   | _ -> err "document %d has multiple roots" doc
+
+let reconstruct db ~doc = document_of_rows ~doc (fetch_all_edges db ~doc)
 
 (* Subtree reconstruction for query results: per-node recursive fetch. The
    two query shapes are constant, so both plans cache after the first node. *)
@@ -243,7 +246,7 @@ let pred_sql ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
     ( [ a ],
       [
         on_doc a; child_of a cur; kind_is a "a"; name_is a at;
-        Sb.cmp (P.cmp_binop op) (Sb.to_number (acol a "value")) (Sb.pfloat b v);
+        P.number_cond b op (acol a "value") v;
       ] )
   | P.Child_value (c, op, v) ->
     let a = fresh () and t = fresh () in
@@ -259,7 +262,7 @@ let pred_sql ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
       [
         on_doc a; child_of a cur; kind_is a "e"; name_is a c;
         on_doc t; child_of t a; kind_is t "t";
-        Sb.cmp (P.cmp_binop op) (Sb.to_number (acol t "value")) (Sb.pfloat b v);
+        P.number_cond b op (acol t "value") v;
       ] )
 
 (* A pure named/wildcard child chain becomes a single join-chain SELECT.
@@ -331,26 +334,12 @@ let chain_query ~doc (simple : Pathquery.t) =
   in
   (q, Sb.params b)
 
-(* Stepwise evaluation: frontier of element ids, one SQL per step (and one
-   per level for '//'). Used whenever the path contains '//' or a wildcard
-   where the single-statement chain would not apply. *)
-let batched ids f =
-  let rec chunks acc = function
-    | [] -> List.rev acc
-    | ids ->
-      let rec take n acc = function
-        | [] -> (List.rev acc, [])
-        | x :: rest when n > 0 -> take (n - 1) (x :: acc) rest
-        | rest -> (List.rev acc, rest)
-      in
-      let chunk, rest = take 100 [] ids in
-      chunks (chunk :: acc) rest
-  in
-  List.concat_map f (chunks [] ids)
+(* Stepwise evaluation: paths with '//' run on Frontier, over frontiers of
+   element ids ([Scheme] below). *)
 
 (* Does element [target] satisfy a predicate? One small probe query; each
    predicate shape is one cached plan regardless of node or value. *)
-let check_pred db ~doc ~sqls target (p : Pathquery.pred) =
+let check_pred { Frontier.db; doc; sqls } target (p : Pathquery.pred) =
   let module P = Pathquery in
   let b = Sb.binder () in
   let pdoc = Sb.pint b doc and ptarget = Sb.pint b target in
@@ -378,48 +367,28 @@ let check_pred db ~doc ~sqls target (p : Pathquery.pred) =
         @ extra)
       (acol "t" "target")
   in
+  let labelled kind name extra =
+    probe ~from:[ Sb.from "edge" ]
+      ~where:
+        (base
+        @ [ Sb.eq (Sb.col "kind") (Sb.text kind); Sb.eq (Sb.col "name") (Sb.ptext b name) ]
+        @ extra)
+      (Sb.col "target")
+  in
   match p with
-  | P.Has_child c ->
-    probe ~from:[ Sb.from "edge" ]
-      ~where:
-        (base
-        @ [ Sb.eq (Sb.col "kind") (Sb.text "e"); Sb.eq (Sb.col "name") (Sb.ptext b c) ])
-      (Sb.col "target")
-  | P.Has_attr a ->
-    probe ~from:[ Sb.from "edge" ]
-      ~where:
-        (base
-        @ [ Sb.eq (Sb.col "kind") (Sb.text "a"); Sb.eq (Sb.col "name") (Sb.ptext b a) ])
-      (Sb.col "target")
+  | P.Has_child c -> labelled "e" c []
+  | P.Has_attr a -> labelled "a" a []
   | P.Attr_value (a, op, v) ->
-    probe ~from:[ Sb.from "edge" ]
-      ~where:
-        (base
-        @ [
-            Sb.eq (Sb.col "kind") (Sb.text "a");
-            Sb.eq (Sb.col "name") (Sb.ptext b a);
-            Sb.cmp (P.cmp_binop op) (Sb.col "value") (Sb.ptext b v);
-          ])
-      (Sb.col "target")
-  | P.Attr_number (a, op, v) ->
-    probe ~from:[ Sb.from "edge" ]
-      ~where:
-        (base
-        @ [
-            Sb.eq (Sb.col "kind") (Sb.text "a");
-            Sb.eq (Sb.col "name") (Sb.ptext b a);
-            Sb.cmp (P.cmp_binop op) (Sb.to_number (Sb.col "value")) (Sb.pfloat b v);
-          ])
-      (Sb.col "target")
+    labelled "a" a [ Sb.cmp (P.cmp_binop op) (Sb.col "value") (Sb.ptext b v) ]
+  | P.Attr_number (a, op, v) -> labelled "a" a [ P.number_cond b op (Sb.col "value") v ]
   | P.Child_value (c, op, v) ->
     child_pair c [ Sb.cmp (P.cmp_binop op) (acol "t" "value") (Sb.ptext b v) ]
-  | P.Child_number (c, op, v) ->
-    child_pair c [ Sb.cmp (P.cmp_binop op) (Sb.to_number (acol "t" "value")) (Sb.pfloat b v) ]
+  | P.Child_number (c, op, v) -> child_pair c [ P.number_cond b op (acol "t" "value") v ]
 
 (* SELECT target FROM edge WHERE doc = ? AND kind = k AND source IN (...)
    [AND name = ?], the workhorse of frontier expansion. *)
-let frontier_query db ~sqls ~doc ~kind ?name ids =
-  batched ids (fun chunk ->
+let frontier_query { Frontier.db; doc; sqls } ~kind ?name ids =
+  Frontier.batched ids (fun chunk ->
       let b = Sb.binder () in
       let pdoc = Sb.pint b doc in
       let where =
@@ -433,65 +402,33 @@ let frontier_query db ~sqls ~doc ~kind ?name ids =
       let q = Sb.query [ Sb.select ~from:[ Sb.from "edge" ] ~where [ Sb.proj (Sb.col "target") ] ] in
       int_column (run_built db ~sqls ~params:(Sb.params b) q))
 
-let stepwise db ~doc (simple : Pathquery.t) =
-  let module P = Pathquery in
-  let sqls = ref [] in
-  let children_of ids ~name_filter =
-    frontier_query db ~sqls ~doc ~kind:"e" ?name:name_filter ids
-  in
-  let step_frontier frontier (s : P.step) =
-    let matches =
-      if s.P.desc then begin
-        (* level-by-level expansion collecting matches at every depth *)
-        let acc = ref [] in
-        let current = ref frontier in
-        while !current <> [] do
-          let all_children = children_of !current ~name_filter:None in
-          let hits =
-            match s.P.test with
-            | P.Any_tag -> all_children
-            | P.Tag n ->
-              (* re-filter by name with one query per chunk *)
-              frontier_query db ~sqls ~doc ~kind:"e" ~name:n !current
-          in
-          acc := hits @ !acc;
-          current := all_children
-        done;
-        List.sort_uniq compare !acc
-      end
-      else
-        children_of frontier
-          ~name_filter:(match s.P.test with P.Tag n -> Some n | P.Any_tag -> None)
-    in
-    List.filter (fun t -> List.for_all (check_pred db ~doc ~sqls t) s.P.preds) matches
-  in
-  let final = List.fold_left step_frontier [ 0 ] simple.P.steps in
-  let targets =
-    match simple.P.tgt with
-    | P.Elements -> List.sort_uniq compare final
-    | P.Attr_of a ->
-      frontier_query db ~sqls ~doc ~kind:"a" ~name:a final |> List.sort_uniq compare
-    | P.Text_of -> frontier_query db ~sqls ~doc ~kind:"t" final |> List.sort_uniq compare
-  in
-  (targets, List.rev !sqls)
+module Scheme = struct
+  type node = int
+  type leaf = int
 
-let is_pure_chain (simple : Pathquery.t) =
-  List.for_all (fun (s : Pathquery.step) -> not s.Pathquery.desc) simple.Pathquery.steps
+  let root = 0
+  let key = Fun.id
+  let tag = None
+  let children ctx ids name = frontier_query ctx ~kind:"e" ?name ids
+  let holds = check_pred
+  let attrs ctx ids a = frontier_query ctx ~kind:"a" ~name:a ids
+  let texts ctx ids = frontier_query ctx ~kind:"t" ids
+end
 
 let query db ~doc (path : Xpathkit.Ast.path) : query_result =
   match Pathquery.analyze path with
   | None -> fallback_query ~reconstruct db ~doc path
   | Some simple ->
     let targets, sqls, joins =
-      if is_pure_chain simple then begin
+      if Frontier.is_named_chain ~wildcards:true simple then begin
         let q, params = traced_translate ~scheme:id (fun () -> chain_query ~doc simple) in
         let sqls = ref [] and joins = ref 0 in
         let r = run_built db ~joins ~sqls ~params q in
         (int_column r, List.rev !sqls, !joins)
       end
       else begin
-        let targets, sqls = stepwise db ~doc simple in
-        (targets, sqls, 0)
+        let answer, sqls = Frontier.stepwise (module Scheme) db ~doc simple in
+        (Frontier.ids answer, sqls, 0)
       end
     in
     {

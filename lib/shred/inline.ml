@@ -560,18 +560,12 @@ let make (dtd : Dtd.t) : Mapping.mapping =
       | P.Attr_number (at, op, v) -> (
         match List.assoc_opt at node.col_attrs with
         | Some col ->
-          Some
-            ( [],
-              [
-                (fun b ->
-                  Sb.cmp (P.cmp_binop op) (Sb.to_number (acol cur col)) (Sb.pfloat b v));
-              ] )
+          Some ([], [ (fun b -> P.number_cond b op (acol cur col) v) ])
         | None -> None)
       | P.Child_value (c, op, v) ->
         child_value_cond c ~render:(fun e b -> Sb.cmp (P.cmp_binop op) e (Sb.ptext b v))
       | P.Child_number (c, op, v) ->
-        child_value_cond c ~render:(fun e b ->
-            Sb.cmp (P.cmp_binop op) (Sb.to_number e) (Sb.pfloat b v))
+        child_value_cond c ~render:(fun e b -> P.number_cond b op e v)
 
     let apply_preds db ~doc route preds =
       List.fold_left

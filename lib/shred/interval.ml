@@ -224,7 +224,7 @@ let pred_sql ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
     ( [ a ],
       [
         on_doc a; child_of a cur; kind_is a "a"; name_is a at;
-        Sb.cmp (P.cmp_binop op) (Sb.to_number (acol a "value")) (Sb.pfloat b v);
+        P.number_cond b op (acol a "value") v;
       ] )
   | P.Child_value (c, op, v) ->
     let a = fresh () and t = fresh () in
@@ -240,7 +240,7 @@ let pred_sql ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
       [
         on_doc a; child_of a cur; kind_is a "e"; name_is a c;
         on_doc t; child_of t a; kind_is t "t";
-        Sb.cmp (P.cmp_binop op) (Sb.to_number (acol t "value")) (Sb.pfloat b v);
+        P.number_cond b op (acol t "value") v;
       ] )
 
 let translate ~doc (simple : Pathquery.t) =

@@ -9,6 +9,7 @@
    and evaluating natively — the honest cost of an untranslatable query. *)
 
 module Ast = Xpathkit.Ast
+module Sb = Relstore.Sql_build
 
 type cmp = Ceq | Cneq | Clt | Cle | Cgt | Cge
 
@@ -29,6 +30,33 @@ let cmp_binop : cmp -> Relstore.Sql_ast.binop = function
   | Cle -> Relstore.Sql_ast.Le
   | Cgt -> Relstore.Sql_ast.Gt
   | Cge -> Relstore.Sql_ast.Ge
+
+(* The SQL condition for an XPath number comparison [number(x) op v], [x]
+   a stored text column and [v] bound through [b]. SQL's [to_number] is
+   NULL where XPath's number() is NaN, and NaN != v holds, so for [!=] a
+   stored value that is not a number is selected too. *)
+let number_cond b op x v =
+  let n = Sb.to_number x in
+  let c = Sb.cmp (cmp_binop op) n (Sb.pfloat b v) in
+  match op with
+  | Cneq ->
+    Sb.cmp Relstore.Sql_ast.And (Sb.is_not_null x) (Sb.cmp Relstore.Sql_ast.Or (Sb.is_null n) c)
+  | Ceq | Clt | Cle | Cgt | Cge -> c
+
+(* The same comparisons evaluated on a stored string, with the native
+   evaluator's conversion: strings compare for [=]/[!=] (the only
+   operators a string predicate carries), numbers through number(). *)
+let string_holds op s v = match op with Cneq -> s <> v | _ -> s = v
+
+let number_holds op s v =
+  let x = Xpathkit.Eval.number_of_string s in
+  match op with
+  | Ceq -> x = v
+  | Cneq -> x <> v
+  | Clt -> x < v
+  | Cle -> x <= v
+  | Cgt -> x > v
+  | Cge -> x >= v
 
 (* Predicates against the step's context element. [target] is a direct
    child element name or an attribute name. *)
@@ -140,8 +168,10 @@ let lower_preds preds =
   let lowered = List.map lower_pred preds in
   if List.exists Option.is_none lowered then None else Some (List.filter_map Fun.id lowered)
 
-(* [analyze path] requires an absolute path. *)
-let analyze (p : Ast.path) : t option =
+(* [analyze_update path] requires an absolute path. Update paths address
+   stored nodes and cannot fall back, so they keep every comparison; one
+   against a child element reads the child's own text. *)
+let analyze_update (p : Ast.path) : t option =
   if not p.Ast.absolute then None
   else begin
     let rec go pending_desc acc (steps : Ast.step list) =
@@ -181,6 +211,21 @@ let analyze (p : Ast.path) : t option =
     | Some (steps, tgt) when steps <> [] -> Some { steps; tgt }
     | Some _ | None -> None
   end
+
+(* The query subset. XPath compares a child element by its string-value,
+   the text of all its descendants; the translations read the child's own
+   text, which is the same only while the child has no element children.
+   For [=] a child with element children would match only by coincidence,
+   so [=] stays translated; for [!=] and the ordered operators such a child
+   usually decides the outcome, so those paths are answered natively. *)
+let analyze p =
+  let reads_child_text = function
+    | Child_value (_, op, _) | Child_number (_, op, _) -> op <> Ceq
+    | Attr_value _ | Attr_number _ | Has_child _ | Has_attr _ -> false
+  in
+  match analyze_update p with
+  | Some t when List.exists (fun s -> List.exists reads_child_text s.preds) t.steps -> None
+  | r -> r
 
 (* Join-count estimate of a simple path: one join per step plus one per
    value predicate (used for experiment T4 reporting by translators that

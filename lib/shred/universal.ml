@@ -206,6 +206,9 @@ type edge = {
   g_value : string option;
 }
 
+(* A pseudo-edge for the document node (node id 0). *)
+let root_edge = { g_source = -1; g_ordinal = 0; g_kind = "e"; g_label = ""; g_target = 0; g_value = None }
+
 let decode_rows db rows =
   let all = labels db in
   let cols = univ_columns db in
@@ -256,60 +259,17 @@ let fetch_edges db ?sqls ~doc cond =
   in
   decode_rows db r.Relstore.Executor.rows
 
-let build_tree by_source (e : edge) =
-  let rec build (e : edge) : Dom.node =
-    let children = Option.value ~default:[] (Hashtbl.find_opt by_source e.g_target) in
-    let attrs, elems = List.partition (fun c -> c.g_kind = "a") children in
-    let sorted l = List.sort (fun a b -> compare a.g_ordinal b.g_ordinal) l in
-    let content =
-      match (elems, e.g_value) with
-      | [], Some "" -> []
-      | [], Some v -> [ Dom.Text v ]
-      | [], None -> []
-      | es, _ -> List.map build (sorted es)
-    in
-    Dom.Element
-      {
-        Dom.tag = e.g_label;
-        attrs =
-          List.map (fun a -> Dom.attr a.g_label (Option.value ~default:"" a.g_value)) (sorted attrs);
-        children = content;
-      }
-  in
-  build e
-
-let group_by_source edges =
-  let tbl = Hashtbl.create 256 in
-  List.iter
-    (fun e ->
-      Hashtbl.replace tbl e.g_source
-        (e :: Option.value ~default:[] (Hashtbl.find_opt tbl e.g_source)))
-    edges;
-  tbl
-
-let reconstruct db ~doc =
-  let edges = fetch_edges db ~doc (fun _ -> []) in
-  let by_source = group_by_source edges in
-  match Option.value ~default:[] (Hashtbl.find_opt by_source 0) with
-  | [ root ] -> (
-    match build_tree by_source root with
-    | Dom.Element e -> Dom.document e
-    | _ -> err "root is not an element")
-  | [] -> err "document %d is not stored" doc
-  | _ -> err "document %d has multiple roots" doc
-
-(* Subtree by node id: repeated source fetches. *)
-let rec node_of_target db ~doc (e : edge) : Dom.node =
-  let children =
-    fetch_edges db ~doc (fun b -> [ Sb.eq (Sb.col "source") (Sb.pint b e.g_target) ])
-  in
-  let attrs, elems = List.partition (fun c -> c.g_kind = "a") children in
+(* The subtree under edge [e], [children] giving each edge's child rows:
+   a hash lookup when rebuilding a document, a fetch per node for a query
+   result. *)
+let rec element_of children (e : edge) : Dom.node =
+  let attrs, elems = List.partition (fun c -> c.g_kind = "a") (children e) in
   let sorted l = List.sort (fun a b -> compare a.g_ordinal b.g_ordinal) l in
   let content =
     match (elems, e.g_value) with
     | [], Some "" | [], None -> []
     | [], Some v -> [ Dom.Text v ]
-    | es, _ -> List.map (node_of_target db ~doc) (sorted es)
+    | es, _ -> List.map (element_of children) (sorted es)
   in
   Dom.Element
     {
@@ -318,6 +278,26 @@ let rec node_of_target db ~doc (e : edge) : Dom.node =
         List.map (fun a -> Dom.attr a.g_label (Option.value ~default:"" a.g_value)) (sorted attrs);
       children = content;
     }
+
+let reconstruct db ~doc =
+  let by_source = Hashtbl.create 256 in
+  List.iter
+    (fun e ->
+      Hashtbl.replace by_source e.g_source
+        (e :: Option.value ~default:[] (Hashtbl.find_opt by_source e.g_source)))
+    (fetch_edges db ~doc (fun _ -> []));
+  let children e = Option.value ~default:[] (Hashtbl.find_opt by_source e.g_target) in
+  match children root_edge with
+  | [ root ] -> (
+    match element_of children root with
+    | Dom.Element e -> Dom.document e
+    | _ -> err "root is not an element")
+  | [] -> err "document %d is not stored" doc
+  | _ -> err "document %d has multiple roots" doc
+
+(* Subtree by node id: repeated source fetches. *)
+let node_of_target db ~doc =
+  element_of (fun e -> fetch_edges db ~doc (fun b -> [ Sb.eq (Sb.col "source") (Sb.pint b e.g_target) ]))
 
 (* Find the edge row pointing at a given node id. *)
 let edge_of_target db ~doc ~kind ~label target =
@@ -394,10 +374,7 @@ let chain_query db ~doc (simple : Pathquery.t) =
           | P.Attr_number (at, op, v) ->
             let ac = attcol at in
             let a = aux_on_cur () in
-            add_where
-              (Sb.cmp (P.cmp_binop op)
-                 (Sb.to_number (acol a (val_col ~kind:"a" ac)))
-                 (Sb.pfloat b v))
+            add_where (P.number_cond b op (acol a (val_col ~kind:"a" ac)) v)
           | P.Child_value (ch, op, v) ->
             let cc = ecol ch in
             let a = aux_on_cur () in
@@ -405,10 +382,7 @@ let chain_query db ~doc (simple : Pathquery.t) =
           | P.Child_number (ch, op, v) ->
             let cc = ecol ch in
             let a = aux_on_cur () in
-            add_where
-              (Sb.cmp (P.cmp_binop op)
-                 (Sb.to_number (acol a (val_col ~kind:"e" cc)))
-                 (Sb.pfloat b v)))
+            add_where (P.number_cond b op (acol a (val_col ~kind:"e" cc)) v))
         s.P.preds;
       prev := Some (u, c))
     simple.P.steps;
@@ -448,140 +422,57 @@ let chain_query db ~doc (simple : Pathquery.t) =
   in
   ((q, Sb.params b), shape)
 
-(* Stepwise evaluation for '//' and wildcards: fetch the full column group
-   of each frontier batch and decode in OCaml — the universal table makes
-   every navigation touch the whole wide row. *)
-let stepwise db ~doc (simple : Pathquery.t) =
-  let module P = Pathquery in
-  let sqls = ref [] in
-  let fetch cond = fetch_edges db ~sqls ~doc cond in
-  let children_of ids =
-    Edge.batched ids (fun chunk ->
-        fetch (fun b -> [ Sb.in_list (Sb.col "source") (List.map (Sb.pint b) chunk) ]))
-  in
-  let check_pred (e : edge) (p : P.pred) =
-    let kids = fetch (fun b -> [ Sb.eq (Sb.col "source") (Sb.pint b e.g_target) ]) in
-    match p with
-    | P.Has_child c -> List.exists (fun k -> k.g_kind = "e" && k.g_label = c) kids
-    | P.Has_attr a -> List.exists (fun k -> k.g_kind = "a" && k.g_label = a) kids
-    | P.Attr_value (a, op, v) ->
-      List.exists
-        (fun k ->
-          k.g_kind = "a" && k.g_label = a
-          &&
-          let kv = Option.value ~default:"" k.g_value in
-          let c = compare kv v in
-          match op with
-          | P.Ceq -> c = 0
-          | P.Cneq -> c <> 0
-          | P.Clt -> c < 0
-          | P.Cle -> c <= 0
-          | P.Cgt -> c > 0
-          | P.Cge -> c >= 0)
-        kids
-    | P.Attr_number (a, op, v) ->
-      List.exists
-        (fun k ->
-          k.g_kind = "a" && k.g_label = a
-          &&
-          match float_of_string_opt (Option.value ~default:"" k.g_value) with
-          | None -> false
-          | Some f -> (
-            match op with
-            | P.Ceq -> f = v
-            | P.Cneq -> f <> v
-            | P.Clt -> f < v
-            | P.Cle -> f <= v
-            | P.Cgt -> f > v
-            | P.Cge -> f >= v))
-        kids
-    | P.Child_value (c, op, v) ->
-      List.exists
-        (fun k ->
-          k.g_kind = "e" && k.g_label = c
-          &&
-          let kv = Option.value ~default:"" k.g_value in
-          let cr = compare kv v in
-          match op with
-          | P.Ceq -> cr = 0
-          | P.Cneq -> cr <> 0
-          | P.Clt -> cr < 0
-          | P.Cle -> cr <= 0
-          | P.Cgt -> cr > 0
-          | P.Cge -> cr >= 0)
-        kids
-    | P.Child_number (c, op, v) ->
-      List.exists
-        (fun k ->
-          k.g_kind = "e" && k.g_label = c
-          &&
-          match float_of_string_opt (Option.value ~default:"" k.g_value) with
-          | None -> false
-          | Some f -> (
-            match op with
-            | P.Ceq -> f = v
-            | P.Cneq -> f <> v
-            | P.Clt -> f < v
-            | P.Cle -> f <= v
-            | P.Cgt -> f > v
-            | P.Cge -> f >= v))
-        kids
-  in
-  let matches_test (e : edge) = function
-    | P.Tag n -> e.g_kind = "e" && e.g_label = n
-    | P.Any_tag -> e.g_kind = "e"
-  in
-  let step_frontier frontier (s : P.step) =
-    let matched =
-      if s.P.desc then begin
-        let acc = ref [] in
-        let current = ref frontier in
-        while !current <> [] do
-          let kids =
-            children_of (List.map (fun e -> e.g_target) !current)
-            |> List.filter (fun e -> e.g_kind = "e")
-          in
-          acc := List.filter (fun e -> matches_test e s.P.test) kids @ !acc;
-          current := kids
-        done;
-        List.sort_uniq (fun a b -> compare a.g_target b.g_target) !acc
-      end
-      else
-        children_of (List.map (fun e -> e.g_target) frontier)
-        |> List.filter (fun e -> matches_test e s.P.test)
-        |> List.sort_uniq (fun a b -> compare a.g_target b.g_target)
-    in
-    List.filter (fun e -> List.for_all (check_pred e) s.P.preds) matched
-  in
-  (* pseudo-edge for the document node *)
-  let start = { g_source = -1; g_ordinal = 0; g_kind = "e"; g_label = ""; g_target = 0; g_value = None } in
-  let final = List.fold_left step_frontier [ start ] simple.P.steps in
-  let result =
-    match simple.P.tgt with
-    | P.Elements -> `Edges final
-    | P.Attr_of a ->
-      `Values
-        (List.concat_map
-           (fun e ->
-             fetch (fun b -> [ Sb.eq (Sb.col "source") (Sb.pint b e.g_target) ])
-             |> List.filter (fun k -> k.g_kind = "a" && k.g_label = a)
-             |> List.map (fun k -> (k.g_target, Option.value ~default:"" k.g_value)))
-           final
-        |> List.sort_uniq compare)
-    | P.Text_of ->
-      `Values
-        (List.filter_map
-           (fun e -> match e.g_value with Some v when v <> "" -> Some (e.g_target, v) | _ -> None)
-           final
-        |> List.sort_uniq compare)
-  in
-  (result, List.rev !sqls)
+(* Stepwise evaluation (Frontier) for '//' and wildcards: fetch the full
+   column group of each frontier batch and decode in OCaml — the universal
+   table makes every navigation touch the whole wide row. *)
+module Scheme = struct
+  type node = edge
+  type leaf = int * string
 
-let is_named_chain (simple : Pathquery.t) =
-  List.for_all
-    (fun (s : Pathquery.step) ->
-      (not s.Pathquery.desc) && match s.Pathquery.test with Pathquery.Tag _ -> true | _ -> false)
-    simple.Pathquery.steps
+  let fetch { Frontier.db; doc; sqls } cond = fetch_edges db ~sqls ~doc cond
+  let kids ctx (e : edge) = fetch ctx (fun b -> [ Sb.eq (Sb.col "source") (Sb.pint b e.g_target) ])
+
+  let root = root_edge
+  let key e = e.g_target
+  let tag = Some (fun e -> e.g_label)
+
+  let children ctx frontier name =
+    Frontier.batched (List.map key frontier) (fun chunk ->
+        fetch ctx (fun b -> [ Sb.in_list (Sb.col "source") (List.map (Sb.pint b) chunk) ]))
+    |> List.filter (fun e ->
+           e.g_kind = "e" && match name with Some n -> e.g_label = n | None -> true)
+
+  (* One fetch of the node's children per predicate, tested in OCaml. A
+     child element's value is its text when it is a text-only leaf; one
+     with element children has none, as in the SQL translations. *)
+  let holds ctx e (p : Pathquery.pred) =
+    let module P = Pathquery in
+    let kids = kids ctx e in
+    let labelled kind label = List.filter (fun k -> k.g_kind = kind && k.g_label = label) kids in
+    let some kind label f =
+      List.exists (fun k -> match k.g_value with Some s -> f s | None -> false) (labelled kind label)
+    in
+    match p with
+    | P.Has_child c -> labelled "e" c <> []
+    | P.Has_attr a -> labelled "a" a <> []
+    | P.Attr_value (a, op, v) -> some "a" a (fun s -> P.string_holds op s v)
+    | P.Attr_number (a, op, v) -> some "a" a (fun s -> P.number_holds op s v)
+    | P.Child_value (c, op, v) -> some "e" c (fun s -> P.string_holds op s v)
+    | P.Child_number (c, op, v) -> some "e" c (fun s -> P.number_holds op s v)
+
+  let attrs ctx frontier a =
+    List.concat_map
+      (fun e ->
+        kids ctx e
+        |> List.filter (fun k -> k.g_kind = "a" && k.g_label = a)
+        |> List.map (fun k -> (k.g_target, Option.value ~default:"" k.g_value)))
+      frontier
+
+  let texts _ frontier =
+    List.filter_map
+      (fun e -> match e.g_value with Some v when v <> "" -> Some (e.g_target, v) | _ -> None)
+      frontier
+end
 
 let result_of_edges db ~doc edges sqls joins =
   let edges = List.sort (fun a b -> compare a.g_target b.g_target) edges in
@@ -607,7 +498,7 @@ let query db ~doc (path : Xpathkit.Ast.path) : query_result =
   match Pathquery.analyze path with
   | None -> fallback_query ~reconstruct db ~doc path
   | Some simple ->
-    if is_named_chain simple then begin
+    if Frontier.is_named_chain ~wildcards:false simple then begin
       match traced_translate ~scheme:id (fun () -> chain_query db ~doc simple) with
       | (q, params), shape -> (
         let sqls = ref [] and joins = ref 0 in
@@ -631,10 +522,9 @@ let query db ~doc (path : Xpathkit.Ast.path) : query_result =
         { values = []; nodes = lazy []; sql = []; joins = 0; fallback = false }
     end
     else begin
-      let result, sqls = stepwise db ~doc simple in
-      match result with
-      | `Edges edges -> result_of_edges db ~doc edges sqls 0
-      | `Values vs -> result_of_values vs sqls 0
+      match Frontier.stepwise (module Scheme) db ~doc simple with
+      | Frontier.Nodes edges, sqls -> result_of_edges db ~doc edges sqls 0
+      | Frontier.Leaves vs, sqls -> result_of_values vs sqls 0
     end
 
 let mapping : Mapping.mapping =

@@ -36,7 +36,7 @@ let err_target n =
   err "update target must select exactly one element (selected %d)" n
 
 let simple_of path =
-  match Pathquery.analyze path with
+  match Pathquery.analyze_update path with
   | Some s when s.Pathquery.tgt = Pathquery.Elements -> s
   | Some _ -> err "update paths must select elements"
   | None -> err "update paths must be within the translatable subset"
@@ -54,8 +54,7 @@ module Edge_updater : UPDATER = struct
   let id = "edge"
 
   let targets db ~doc path =
-    let t, _ = Edge.stepwise db ~doc (simple_of path) in
-    t
+    Frontier.ids (fst (Frontier.stepwise (module Edge.Scheme) db ~doc (simple_of path)))
 
   let scalar_int db ~params sql =
     match (Db.query ~params db sql).Relstore.Executor.rows with
@@ -117,7 +116,7 @@ module Edge_updater : UPDATER = struct
       let frontier = ref [ root ] in
       while !frontier <> [] do
         let next =
-          Edge.batched !frontier (fun chunk ->
+          Frontier.batched !frontier (fun chunk ->
               let b = Sb.binder () in
               let q =
                 Sb.query
@@ -140,7 +139,7 @@ module Edge_updater : UPDATER = struct
       (* every subtree row is addressed by its target id, the incoming edge
          of the root included *)
       ignore
-        (Edge.batched !all (fun chunk ->
+        (Frontier.batched !all (fun chunk ->
              let params =
                Array.of_list (Value.Int doc :: List.map (fun i -> Value.Int i) chunk)
              in

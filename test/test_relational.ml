@@ -1107,7 +1107,7 @@ let test_cache_empty_table_drift () =
   check_int "fresh plan sees the new row" 1 (List.length r.Executor.rows)
 
 let test_cache_lru_eviction () =
-  let cache = Plan_cache.create () in
+  let cache = Plan_cache.create ~capacity:128 () in
   let plan = Plan.Seq_scan { table = "t"; alias = "t" } in
   let row_count _ = Some 0 in
   let key i = Printf.sprintf "k%d" i in
