@@ -430,7 +430,7 @@ let f6 cfg =
             Option.get (Xmlshred.Pathquery.analyze (Xpathkit.Parser.parse_path (xpath_of qid)))
           in
           let chain () =
-            let q, params = Xmlshred.Edge.chain_query ~doc:0 simple in
+            let q, params = Xmlshred.Chain.compile Xmlshred.Edge.chain ~doc:0 simple in
             Xmlshred.Mapping.int_column
               (Relstore.Database.query_prepared ~params db (Relstore.Database.prepare_query db q))
           in
@@ -832,29 +832,32 @@ let f13 cfg =
        ~title:"F13: durability — WAL load and recovery cost vs in-memory load (interval)" ~scale
 
 (* ------------------------------------------------------------------ *)
-(* F14: telemetry overhead — a durable load plus Q1-Q12 ten times over,
-   with tracing off against the production posture (metrics always on,
-   1% trace sampling). Arming the slow log is excluded: it captures every
-   query's ANALYZE tree, a diagnostic cost, not the always-on telemetry
-   this experiment budgets (3%). *)
+(* F14: telemetry overhead — Q1-Q12 ten times over a durable store, with
+   tracing off against the production posture (metrics always on, 1%
+   trace sampling). Each round builds and loads its store before the
+   timer starts, so the fsyncs of the load stay out of the timing. Arming
+   the slow log is excluded: it captures every query's ANALYZE tree, a
+   diagnostic cost, not the always-on telemetry this experiment budgets
+   (3%). A variant whose IQR exceeds the budget cannot resolve it. *)
 
 let f14 cfg =
   let sc = K.scale cfg 0.5 in
   let dom = auction ~scale:sc in
+  let budget = 3. in
   let workload_run sampling () =
     Obskit.Trace.set_sampling sampling;
     let dir = fresh_dir () in
+    let s = Store.create ~durable:dir "interval" in
+    ignore (Store.add_document s dom);
     let t =
       K.timed
         (fun () ->
-          let s = Store.create ~durable:dir "interval" in
-          ignore (Store.add_document s dom);
           for _ = 1 to 10 do
             ignore (answers s)
-          done;
-          Store.close s)
+          done)
         ()
     in
+    Store.close s;
     rm_rf dir;
     Obskit.Trace.set_sampling Obskit.Trace.Off;
     Obskit.Trace.clear ();
@@ -868,12 +871,15 @@ let f14 cfg =
       ]
   in
   let overhead = (Option.get (snd (List.nth timings 1)).K.ratio -. 1.) *. 100. in
+  let resolved = List.for_all (fun (_, t) -> t.K.iqr /. t.K.median *. 100. <= budget) timings in
   [
     [ ("scale", K.Num sc) ]
     @ List.map time_cell timings
     @ [
-        ("overhead_pct", K.Num overhead); ("budget_pct", K.Num 3.);
-        ("within_budget", K.Text (if overhead < 3. then "yes" else "over"));
+        ("overhead_pct", K.Num overhead); ("budget_pct", K.Num budget);
+        ( "within_budget",
+          K.Text (if not resolved then "unresolved" else if overhead < budget then "yes" else "over")
+        );
       ];
   ]
   |> K.report cfg ~id:"F14" ~title:"F14: telemetry overhead — tracing off vs metrics + 1% sampling"

@@ -777,11 +777,10 @@ let serve_cmd =
     Arg.(value & opt int 4
          & info [ "readers" ] ~docv:"N"
              ~doc:"Serve the data plane (POST /query, POST /load) from a store pool with N \
-                   reader permits, on N serving domains. 0 disables the pool: the classic \
-                   single-threaded observability-only endpoint.")
+                   reader permits, on N serving domains (at least 1).")
   in
   let run scheme dtd_file path port host durable warm readers =
-    if readers < 0 then failwith "--readers must be >= 0";
+    if readers < 1 then failwith "--readers must be >= 1";
     (* keep the ring buffer populated for /traces without paying for
        always-on tracing: sample every trace while serving *)
     Obskit.Trace.set_sampling Obskit.Trace.Always;
@@ -793,21 +792,12 @@ let serve_cmd =
     in
     Store.set_slow_threshold store (Some 0.0);
     (match warm with Some x -> ignore (Store.query store doc x) | None -> ());
-    if readers = 0 then begin
-      let server = Store.serve ~host ~port store in
-      Printf.printf "serving %s on http://%s:%d (endpoints: /metrics /healthz /slowlog /traces \
-                     /stats)\n%!"
-        path host (Servekit.Server.port server);
-      Servekit.Server.run server
-    end
-    else begin
-      let pool = Storepool.Pool.create ~readers store in
-      let server = Storepool.Service.serve ~host ~port pool in
-      Printf.printf "serving %s on http://%s:%d with %d reader domain(s) (endpoints: POST \
-                     /query /load; GET /pool /metrics /healthz /slowlog /traces /stats)\n%!"
-        path host (Servekit.Server.port server) readers;
-      Servekit.Server.run_parallel ~domains:readers server
-    end
+    let pool = Storepool.Pool.create ~readers store in
+    let server = Storepool.Service.serve ~host ~port pool in
+    Printf.printf "serving %s on http://%s:%d with %d reader domain(s) (endpoints: POST \
+                   /query /load; GET /pool /metrics /healthz /slowlog /traces /stats)\n%!"
+      path host (Servekit.Server.port server) readers;
+    Servekit.Server.run_parallel ~domains:readers server
   in
   Cmd.v
     (Cmd.info "serve"

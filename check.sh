@@ -7,10 +7,11 @@
 # (including a durable open traced through recovery), scrape the embedded
 # observability server's /healthz and /metrics, drive the pooled data
 # plane with concurrent POST /query connections and a mid-flight POST
-# /load, lint the Prometheus exposition, self-test the data-plane
-# benchmark, gate on the static analyzer (the full Q1-Q12 workload must
-# lint clean under every scheme), and prove the smoke run left the
-# committed reference results (BENCH_*.json) untouched.
+# /load (and check the interval scheme serves the same answers), lint the
+# Prometheus exposition, self-test the data-plane benchmark, gate on the
+# static analyzer (the full Q1-Q12 workload must lint clean under every
+# scheme), and prove the smoke run left the committed reference results
+# (BENCH_*.json) untouched.
 set -eux
 
 dune build @all
@@ -84,18 +85,24 @@ dune exec bin/xmlstore_cli.exe -- trace validate "$tmpdir/trace-recovery.json"
 grep -q "db.open_durable" "$tmpdir/trace-recovery.json"
 grep -q "recovery.redo" "$tmpdir/trace-recovery.json"
 
+# the port a backgrounded `serve` printed in its banner (waits up to 10 s)
+bound_port() {
+  p=""
+  for _ in $(seq 1 100); do
+    p=$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$1")
+    [ -n "$p" ] && break
+    sleep 0.1
+  done
+  test -n "$p"
+  echo "$p"
+}
+
 # observability server: serve a durable store on an ephemeral port, scrape
 # the health and metrics endpoints, and check the storage-telemetry series
 dune exec bin/xmlstore_cli.exe -- serve "$tmpdir/dstore" --durable --port 0 \
   > "$tmpdir/serve.out" &
 serve_pid=$!
-port=""
-for _ in $(seq 1 100); do
-  port=$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$tmpdir/serve.out")
-  [ -n "$port" ] && break
-  sleep 0.1
-done
-test -n "$port"
+port=$(bound_port "$tmpdir/serve.out")
 curl -fsS "http://127.0.0.1:$port/healthz" | grep -q '"ok":true'
 curl -fsS "http://127.0.0.1:$port/metrics" > "$tmpdir/serve-metrics.prom"
 grep -q "xmlstore_db_wal_append_total" "$tmpdir/serve-metrics.prom"
@@ -114,13 +121,7 @@ wait "$serve_pid" 2>/dev/null || true
 dune exec bin/xmlstore_cli.exe -- serve --scheme edge "$tmpdir/lintdoc.xml" \
   --port 0 --readers 2 > "$tmpdir/pserve.out" &
 pserve_pid=$!
-port=""
-for _ in $(seq 1 100); do
-  port=$(sed -n 's|.*http://127\.0\.0\.1:\([0-9]*\).*|\1|p' "$tmpdir/pserve.out")
-  [ -n "$port" ] && break
-  sleep 0.1
-done
-test -n "$port"
+port=$(bound_port "$tmpdir/pserve.out")
 qpids=""
 for i in 1 2 3 4; do
   curl -fsS -X POST "http://127.0.0.1:$port/query" \
@@ -152,6 +153,21 @@ sed "$norm" "$tmpdir/pq1.json" | diff - "$tmpdir/pq-new.norm"
 curl -fsS "http://127.0.0.1:$port/pool" | grep -q '"readers"'
 kill "$pserve_pid" 2>/dev/null || true
 wait "$pserve_pid" 2>/dev/null || true
+# the same document served by the interval scheme: its child-path and Q7
+# answers must be byte-identical to edge's
+dune exec bin/xmlstore_cli.exe -- serve --scheme interval "$tmpdir/lintdoc.xml" \
+  --port 0 --readers 2 > "$tmpdir/iserve.out" &
+iserve_pid=$!
+port=$(bound_port "$tmpdir/iserve.out")
+curl -fsS -X POST "http://127.0.0.1:$port/query" \
+  -d '{"doc": 0, "xpath": "/site/people/person/name"}' -o "$tmpdir/iq1.json" \
+  --next -fsS -X POST "http://127.0.0.1:$port/query" \
+  -d "{\"doc\": 0, \"xpath\": \"//item[location='United States']/name\"}" \
+  -o "$tmpdir/iq7.json"
+kill "$iserve_pid" 2>/dev/null || true
+wait "$iserve_pid" 2>/dev/null || true
+diff "$tmpdir/pq1.json" "$tmpdir/iq1.json"
+diff "$tmpdir/pq7-1.json" "$tmpdir/iq7.json"
 
 # lint gate: the full Q1-Q12 workload must be clean (no warning-or-worse
 # diagnostic) under every scheme, inline included via the workload DTD;

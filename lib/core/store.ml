@@ -559,10 +559,10 @@ let of_snapshot ?dtd ?metrics_label snap =
   make ?metrics_label ~dtd ~scheme ~mapping db
 
 (* ------------------------------------------------------------------ *)
-(* Embedded observability server: GET /metrics /healthz /slowlog
-   /traces /stats over servekit's blocking listener. The handlers only
-   render in-memory state, so they are safe to run between any two
-   store operations (the server is single-threaded like the store). *)
+(* Observability endpoints: GET /metrics /healthz /slowlog /traces
+   /stats. The handlers only render in-memory state, so they are safe to
+   run between any two store operations; the data-plane service runs them
+   on the primary under its write lock. *)
 
 module Json = Obskit.Json
 
@@ -733,10 +733,6 @@ let handle t (req : Servekit.Http.request) =
       text_response 200
         "xmlstore observability endpoints: /metrics /healthz /slowlog /traces /stats\n"
     | p -> text_response 404 (Printf.sprintf "no such endpoint %s\n" p)
-
-let serve ?host ?port t =
-  declare_storage_series ();
-  Servekit.Server.create ?host ?port (handle t)
 
 let load ?dtd ?(validate = false) ?metrics_label ~scheme path =
   let mapping = resolve_mapping ~scheme ~dtd in

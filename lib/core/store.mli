@@ -265,10 +265,10 @@ val of_snapshot : ?dtd:Xmlkit.Dtd.t -> ?metrics_label:string -> string -> t
 (** Rebuild an in-memory store from {!snapshot} output ([inline] needs
     the same DTD the original was created with). *)
 
-(** {1 Observability server}
+(** {1 Observability endpoints}
 
-    An embedded single-threaded HTTP endpoint over the store's in-memory
-    observability state:
+    The GET endpoints over the store's in-memory observability state,
+    served by the store pool's data plane (Storepool.Service):
 
     {v
     GET /metrics   Prometheus text exposition (lint-checked before serving)
@@ -279,19 +279,12 @@ val of_snapshot : ?dtd:Xmlkit.Dtd.t -> ?metrics_label:string -> string -> t
     v} *)
 
 val handle : t -> Servekit.Http.request -> Servekit.Http.response
-(** The observability request handler behind {!serve}, exposed so other
-    front doors (the store pool's data-plane service) can delegate
-    GET endpoints to it. *)
-
-val serve : ?host:string -> ?port:int -> t -> Servekit.Server.t
-(** Bind the observability listener ([host] defaults to "127.0.0.1",
-    [port] to 0 = ephemeral; read the bound port back with
-    {!Servekit.Server.port}) and return it without serving — call
-    {!Servekit.Server.run} (blocking) or {!Servekit.Server.handle_one}.
-    Also pre-registers the storage-telemetry series catalog
-    ([db.wal.*], [db.checkpoint.*], [db.recovery.*], [buffer_pool.*],
-    [db.btree.*]) so a scrape of an idle store already lists them. *)
+(** The observability request handler; the data-plane service delegates
+    its GET endpoints to it. *)
 
 val declare_storage_series : unit -> unit
-(** The pre-registration {!serve} performs, exposed for callers that
-    render {!Relstore.Metrics.prometheus} without a server. *)
+(** Pre-register the storage-telemetry series catalog ([db.wal.*],
+    [db.checkpoint.*], [db.recovery.*], [buffer_pool.*], [db.btree.*]) so a
+    scrape of an idle store already lists them. The data-plane server does
+    this when it binds; callers that render
+    {!Relstore.Metrics.prometheus} without a server call it themselves. *)

@@ -2,8 +2,8 @@
 
    A hit skips lexing, parsing, and planning entirely. Entries remember the
    row count of every referenced table at plan time and are dropped when
-   any of them drifts by more than ~20% (the same freshness rule Stats
-   uses), since the planner's join order and access-path choices depend on
+   any of them drifts by more than ~20% ([Stats.material], the rule the
+   statistics refresh on), since the planner's join order and access-path choices depend on
    those counts. Any DDL clears the whole cache: index changes alter which
    plans are even executable. *)
 
@@ -71,11 +71,6 @@ let reset_stats t =
       t.stats.invalidations <- 0;
       t.stats.evictions <- 0)
 
-(* Row count within ~20% of the count recorded at plan time? *)
-let fresh_count ~then_ ~now =
-  let drift = abs (now - then_) in
-  drift * 5 <= max 1 then_
-
 (* [row_count name] should return None when the table no longer exists. *)
 let find t ~row_count key =
   Mutex.protect t.lock @@ fun () ->
@@ -90,7 +85,7 @@ let find t ~row_count key =
         List.for_all
           (fun (name, then_) ->
             match row_count name with
-            | Some now -> fresh_count ~then_ ~now
+            | Some now -> not (Stats.material ~then_ ~now)
             | None -> false)
           e.tables
       in

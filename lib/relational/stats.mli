@@ -32,6 +32,11 @@ val on_change : t -> (string -> unit) -> unit
     incremental fold that moved the row count more than ~20% since the
     last notification). The database invalidates the plan cache here. *)
 
+val material : then_:int -> now:int -> bool
+(** Has a row count drifted materially, by more than ~20% of [then_]?
+    The one freshness rule: statistics re-analyze on it, and the plan
+    cache drops a plan planned against [then_] rows on it. *)
+
 val analyze_table : Table.t -> table_stats
 (** One full scan; does not touch the registry. *)
 

@@ -178,12 +178,12 @@ let fetch_all db ~doc =
     List.map
       (fun a ->
         {
-          Edge.r_source = int a.(0);
-          r_ordinal = int a.(1);
-          r_kind = kind a;
-          r_name = name a;
-          r_target = int a.(2);
-          r_value = value a;
+          Tree.parent = int a.(0);
+          ordinal = int a.(1);
+          kind = kind a;
+          name = name a;
+          id = int a.(2);
+          value = value a;
         })
       (fetch_cols db ~doc tbl ([ "source"; "ordinal"; "target" ] @ cols))
   in
@@ -197,7 +197,7 @@ let fetch_all db ~doc =
   @ rows "b_cdata" [ "value" ] ~kind:(fun _ -> "t") ~name:(fun _ -> "") ~value:(text 3)
   @ rows "b_misc" [ "value"; "kind"; "name" ] ~kind:(text 4) ~name:(text 5) ~value:(text 3)
 
-let reconstruct db ~doc = Edge.document_of_rows ~doc (fetch_all db ~doc)
+let reconstruct db ~doc = Tree.document ~doc ~top:0 (fetch_all db ~doc)
 
 (* Subtree of one node, via repeated per-source fetches. *)
 let rec node_of_target db ~doc ~kind ~name ~value target : Dom.node =
@@ -281,130 +281,28 @@ let describe_target db ~doc target =
 (* ------------------------------------------------------------------ *)
 (* Query translation *)
 
+(* A named child chain is one statement joining the per-label tables (see
+   Chain); a table fixes its label, so no alias tests kind or name, and a
+   label never stored makes the answer empty. *)
+let chain db =
+  {
+    Chain.table =
+      (fun ~kind name ->
+        match (kind, name) with
+        | "t", _ -> Some "b_cdata"
+        | _, Some label -> label_table db ~kind label
+        | _, None -> err "wildcard in chain");
+    labelled = false;
+    id = "target";
+    parent = "source";
+    root = Sb.int 0;
+    descendant = None;
+    alias = "x";
+  }
+
 (* Edges here live in per-label tables, so [child_of] links alias.source to
    the parent alias's target; kind/name conditions are implied by the table. *)
 let child_of a parent = Sb.eq (acol a "source") (acol parent "target")
-
-let pred_sql db ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
-  let module P = Pathquery in
-  let on_doc a = Sb.eq (acol a "doc") pdoc in
-  (* Missing label tables mean the predicate can never hold. *)
-  let need_table kind label k =
-    match label_table db ~kind label with None -> None | Some tbl -> Some (k tbl)
-  in
-  match p with
-  | P.Has_child c ->
-    need_table "e" c (fun tbl ->
-        let a = fresh () in
-        ([ (tbl, a) ], [ on_doc a; child_of a cur ]))
-  | P.Has_attr at ->
-    need_table "a" at (fun tbl ->
-        let a = fresh () in
-        ([ (tbl, a) ], [ on_doc a; child_of a cur ]))
-  | P.Attr_value (at, op, v) ->
-    need_table "a" at (fun tbl ->
-        let a = fresh () in
-        ( [ (tbl, a) ],
-          [
-            on_doc a; child_of a cur;
-            Sb.cmp (P.cmp_binop op) (acol a "value") (Sb.ptext b v);
-          ] ))
-  | P.Attr_number (at, op, v) ->
-    need_table "a" at (fun tbl ->
-        let a = fresh () in
-        ( [ (tbl, a) ],
-          [
-            on_doc a; child_of a cur;
-            P.number_cond b op (acol a "value") v;
-          ] ))
-  | P.Child_value (c, op, v) ->
-    need_table "e" c (fun tbl ->
-        let a = fresh () and t = fresh () in
-        ( [ (tbl, a); ("b_cdata", t) ],
-          [
-            on_doc a; child_of a cur; on_doc t; child_of t a;
-            Sb.cmp (P.cmp_binop op) (acol t "value") (Sb.ptext b v);
-          ] ))
-  | P.Child_number (c, op, v) ->
-    need_table "e" c (fun tbl ->
-        let a = fresh () and t = fresh () in
-        ( [ (tbl, a); ("b_cdata", t) ],
-          [
-            on_doc a; child_of a cur; on_doc t; child_of t a;
-            P.number_cond b op (acol t "value") v;
-          ] ))
-
-exception Empty_result
-
-(* Single-statement chain translation for named child paths. Returns the
-   query and its parameter bindings; raises [Empty_result] when a
-   referenced label does not exist in the store. *)
-let chain_query db ~doc (simple : Pathquery.t) =
-  let module P = Pathquery in
-  let b = Sb.binder () in
-  let pdoc = Sb.pint b doc in
-  let counter = ref 0 in
-  let fresh () =
-    incr counter;
-    Printf.sprintf "x%d" !counter
-  in
-  let froms = ref [] and wheres = ref [] in
-  let add_from tbl a = froms := (tbl, a) :: !froms in
-  let add_where w = wheres := w :: !wheres in
-  let prev = ref None in
-  List.iter
-    (fun (s : P.step) ->
-      assert (not s.P.desc);
-      let tag = match s.P.test with P.Tag n -> n | P.Any_tag -> err "wildcard in chain" in
-      let tbl = match label_table db ~kind:"e" tag with Some t -> t | None -> raise Empty_result in
-      let e = fresh () in
-      add_from tbl e;
-      add_where (Sb.eq (acol e "doc") pdoc);
-      (match !prev with
-      | None -> add_where (Sb.eq (acol e "source") (Sb.int 0))
-      | Some p -> add_where (child_of e p));
-      List.iter
-        (fun pr ->
-          match pred_sql db ~b ~pdoc ~cur:e ~fresh pr with
-          | None -> raise Empty_result
-          | Some (extra_from, extra_where) ->
-            List.iter (fun (t, a) -> add_from t a) extra_from;
-            List.iter add_where extra_where)
-        s.P.preds;
-      prev := Some e)
-    simple.P.steps;
-  let last = match !prev with Some p -> p | None -> err "empty path" in
-  let result_alias =
-    match simple.P.tgt with
-    | P.Elements -> last
-    | P.Attr_of a -> (
-      match label_table db ~kind:"a" a with
-      | None -> raise Empty_result
-      | Some tbl ->
-        let at = fresh () in
-        add_from tbl at;
-        add_where (Sb.eq (acol at "doc") pdoc);
-        add_where (child_of at last);
-        at)
-    | P.Text_of ->
-      let tx = fresh () in
-      add_from "b_cdata" tx;
-      add_where (Sb.eq (acol tx "doc") pdoc);
-      add_where (child_of tx last);
-      tx
-  in
-  let result = acol result_alias "target" in
-  let q =
-    Sb.query
-      [
-        Sb.select ~distinct:true
-          ~from:(List.rev_map (fun (t, a) -> Sb.from ~alias:a t) !froms)
-          ~where:(List.rev !wheres)
-          ~order_by:[ Sb.asc result ]
-          [ Sb.proj result ];
-      ]
-  in
-  (q, Sb.params b)
 
 (* Stepwise evaluation (Frontier) for '//' and wildcards: each step
    consults one table per candidate tag — the partitioning tax. *)
@@ -519,19 +417,12 @@ let query db ~doc (path : Xpathkit.Ast.path) : query_result =
   match Pathquery.analyze path with
   | None -> fallback_query ~reconstruct db ~doc path
   | Some simple ->
-    if Frontier.is_named_chain ~wildcards:false simple then begin
-      match traced_translate ~scheme:id (fun () -> chain_query db ~doc simple) with
-      | q, params ->
-        let sqls = ref [] and joins = ref 0 in
-        let targets = int_column (run_built db ~joins ~sqls ~params q) in
-        materialize db ~doc targets (List.rev !sqls) !joins
-      | exception Empty_result ->
-        { values = []; nodes = lazy []; sql = []; joins = 0; fallback = false }
-    end
-    else begin
+    if Frontier.is_named_chain ~wildcards:false simple then
+      let targets, sqls, joins = Chain.run (chain db) ~scheme:id db ~doc simple int_column in
+      materialize db ~doc targets sqls joins
+    else
       let answer, sqls = Frontier.stepwise (module Scheme) db ~doc simple in
       materialize db ~doc (Frontier.ids answer) sqls 0
-    end
 
 let mapping : Mapping.mapping =
   (module struct

@@ -12,7 +12,6 @@
    prefix-LIKE predicates over the label — cheap subtree extraction,
    expensive comparisons, exactly the trade-off the paper reports. *)
 
-module Dom = Xmlkit.Dom
 module Index = Xmlkit.Index
 module Db = Relstore.Database
 module Value = Relstore.Value
@@ -104,54 +103,15 @@ let shred_bulk session ~doc ix = shred_into (Db.session_insert session) ~doc ix
 (* ------------------------------------------------------------------ *)
 (* Reconstruction *)
 
-type row = {
-  r_label : string;
-  r_parent : string;
-  r_kind : string;
-  r_name : string;
-  r_value : string;
-  r_ordinal : int;
-}
-
 let row_of_values a =
   {
-    r_label = Value.to_string a.(0);
-    r_parent = Value.to_string a.(1);
-    r_kind = Value.to_string a.(2);
-    r_name = (match a.(3) with Value.Null -> "" | v -> Value.to_string v);
-    r_value = (match a.(4) with Value.Null -> "" | v -> Value.to_string v);
-    r_ordinal = (match a.(5) with Value.Int i -> i | _ -> err "bad ordinal");
+    Tree.id = Value.to_string a.(0);
+    parent = Value.to_string a.(1);
+    kind = Value.to_string a.(2);
+    name = (match a.(3) with Value.Null -> "" | v -> Value.to_string v);
+    value = (match a.(4) with Value.Null -> "" | v -> Value.to_string v);
+    ordinal = (match a.(5) with Value.Int i -> i | _ -> err "bad ordinal");
   }
-
-let build_forest rows root_label =
-  let by_parent = Hashtbl.create 256 in
-  let by_label = Hashtbl.create 256 in
-  List.iter
-    (fun r ->
-      Hashtbl.replace by_label r.r_label r;
-      Hashtbl.replace by_parent r.r_parent
-        (r :: Option.value ~default:[] (Hashtbl.find_opt by_parent r.r_parent)))
-    rows;
-  let rec build r : Dom.node =
-    match r.r_kind with
-    | "e" ->
-      let children = Option.value ~default:[] (Hashtbl.find_opt by_parent r.r_label) in
-      let attrs, content = List.partition (fun c -> c.r_kind = "a") children in
-      let sorted l = List.sort (fun a b -> compare a.r_ordinal b.r_ordinal) l in
-      Dom.Element
-        {
-          Dom.tag = r.r_name;
-          attrs = List.map (fun a -> Dom.attr a.r_name a.r_value) (sorted attrs);
-          children = List.map build (sorted content);
-        }
-    | "t" | "a" -> Dom.Text r.r_value
-    | "c" -> Dom.Comment r.r_value
-    | "p" -> Dom.Pi { target = r.r_name; data = r.r_value }
-    | k -> err "unknown kind %s" k
-  in
-  match Hashtbl.find_opt by_label root_label with
-  | Some r -> build r
-  | None -> err "no node labelled %s" root_label
 
 let row_projs = List.map (fun c -> Sb.proj (Sb.col c)) [ "label"; "parent_label"; "kind"; "name"; "value"; "ordinal" ]
 
@@ -162,14 +122,7 @@ let fetch_all db ~doc =
   let r = query_built db ~params:(Sb.params b) q in
   List.map row_of_values r.Relstore.Executor.rows
 
-let reconstruct db ~doc =
-  let rows = fetch_all db ~doc in
-  match List.find_opt (fun r -> r.r_parent = "") rows with
-  | Some root -> (
-    match build_forest rows root.r_label with
-    | Dom.Element e -> Dom.document e
-    | _ -> err "root is not an element")
-  | None -> err "document %d is not stored" doc
+let reconstruct db ~doc = Tree.document ~doc ~top:"" (fetch_all db ~doc)
 
 (* Subtree of one label: the Dewey strength — a prefix scan over the label
    index. Two statements (exact + prefix) so each can use the index; an OR
@@ -195,158 +148,51 @@ let subtree_rows db ~doc label =
           Relstore.Sql_ast.Binop (Relstore.Sql_ast.And, lower, Sb.lt (Sb.col "label") (Sb.ptext b stop))
         | None -> lower)
 
-let node_of_label db ~doc label = build_forest (subtree_rows db ~doc label) label
+let node_of_label db ~doc label = Tree.node (subtree_rows db ~doc label) label
 
 let string_value_of_label db ~doc label =
   let rows = subtree_rows db ~doc label in
-  match List.find_opt (fun r -> r.r_label = label) rows with
-  | Some r when r.r_kind <> "e" -> r.r_value
+  match List.find_opt (fun r -> r.Tree.id = label) rows with
+  | Some r when r.Tree.kind <> "e" -> r.Tree.value
   | Some _ ->
     (* concatenate text descendants in label order *)
     rows
-    |> List.filter (fun r -> r.r_kind = "t")
-    |> List.sort (fun a b -> compare a.r_label b.r_label)
-    |> List.map (fun r -> r.r_value)
+    |> List.filter (fun r -> r.Tree.kind = "t")
+    |> List.sort (fun a b -> compare a.Tree.id b.Tree.id)
+    |> List.map (fun r -> r.Tree.value)
     |> String.concat ""
   | None -> err "no node labelled %s" label
 
 (* ------------------------------------------------------------------ *)
-(* Query translation: single statement; child steps join on parent_label,
-   descendant steps use label-prefix LIKE over a concatenated pattern. *)
+(* Query translation: a single statement (see Chain); child steps join on
+   parent_label, descendant steps use label-prefix LIKE over a
+   concatenated pattern. *)
 
-let kind_is a k = Sb.eq (acol a "kind") (Sb.text k)
-let child_of a parent = Sb.eq (acol a "parent_label") (acol parent "label")
-
-let pred_sql ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
-  let module P = Pathquery in
-  let child_conds a ~kind ~name =
-    [
-      Sb.eq (acol a "doc") pdoc;
-      child_of a cur;
-      kind_is a kind;
-      Sb.eq (acol a "name") (Sb.ptext b name);
-    ]
-  in
-  match p with
-  | P.Has_child c ->
-    let a = fresh () in
-    ([ a ], child_conds a ~kind:"e" ~name:c)
-  | P.Has_attr at ->
-    let a = fresh () in
-    ([ a ], child_conds a ~kind:"a" ~name:at)
-  | P.Attr_value (at, op, v) ->
-    let a = fresh () in
-    ( [ a ],
-      child_conds a ~kind:"a" ~name:at
-      @ [ Sb.cmp (P.cmp_binop op) (acol a "value") (Sb.ptext b v) ] )
-  | P.Attr_number (at, op, v) ->
-    let a = fresh () in
-    ( [ a ],
-      child_conds a ~kind:"a" ~name:at
-      @ [ P.number_cond b op (acol a "value") v ] )
-  | P.Child_value (c, op, v) ->
-    let a = fresh () and t = fresh () in
-    ( [ a; t ],
-      child_conds a ~kind:"e" ~name:c
-      @ [
-          Sb.eq (acol t "doc") pdoc;
-          child_of t a;
-          kind_is t "t";
-          Sb.cmp (P.cmp_binop op) (acol t "value") (Sb.ptext b v);
-        ] )
-  | P.Child_number (c, op, v) ->
-    let a = fresh () and t = fresh () in
-    ( [ a; t ],
-      child_conds a ~kind:"e" ~name:c
-      @ [
-          Sb.eq (acol t "doc") pdoc;
-          child_of t a;
-          kind_is t "t";
-          P.number_cond b op (acol t "value") v;
-        ] )
-
-let translate ~doc (simple : Pathquery.t) =
-  let module P = Pathquery in
-  let b = Sb.binder () in
-  let pdoc = Sb.pint b doc in
-  let counter = ref 0 in
-  let fresh () =
-    incr counter;
-    Printf.sprintf "d%d" !counter
-  in
-  let froms = ref [] and wheres = ref [] in
-  let add_from a = froms := a :: !froms in
-  let add_where w = wheres := w :: !wheres in
-  let prev = ref None in
-  List.iter
-    (fun (s : P.step) ->
-      let e = fresh () in
-      add_from e;
-      add_where (Sb.eq (acol e "doc") pdoc);
-      add_where (kind_is e "e");
-      (match s.P.test with
-      | P.Tag n -> add_where (Sb.eq (acol e "name") (Sb.ptext b n))
-      | P.Any_tag -> ());
-      (match (!prev, s.P.desc) with
-      | None, false -> add_where (Sb.eq (acol e "parent_label") (Sb.text ""))
-      | None, true -> ()  (* any element *)
-      | Some p, false -> add_where (child_of e p)
-      | Some p, true ->
-        (* descendant: label extends the ancestor's label *)
-        add_where (Sb.like (acol e "label") (Sb.concat (acol p "label") (Sb.text ".%"))));
-      List.iter
-        (fun pr ->
-          let extra_from, extra_where = pred_sql ~b ~pdoc ~cur:e ~fresh pr in
-          List.iter add_from extra_from;
-          List.iter add_where extra_where)
-        s.P.preds;
-      prev := Some e)
-    simple.P.steps;
-  let last = match !prev with Some p -> p | None -> err "empty path" in
-  let result_alias =
-    match simple.P.tgt with
-    | P.Elements -> last
-    | P.Attr_of a ->
-      let at = fresh () in
-      add_from at;
-      add_where (Sb.eq (acol at "doc") pdoc);
-      add_where (child_of at last);
-      add_where (kind_is at "a");
-      add_where (Sb.eq (acol at "name") (Sb.ptext b a));
-      at
-    | P.Text_of ->
-      let tx = fresh () in
-      add_from tx;
-      add_where (Sb.eq (acol tx "doc") pdoc);
-      add_where (child_of tx last);
-      add_where (kind_is tx "t");
-      tx
-  in
-  let result = acol result_alias "label" in
-  let q =
-    Sb.query
-      [
-        Sb.select ~distinct:true
-          ~from:(List.rev_map (fun a -> Sb.from ~alias:a "dewey") !froms)
-          ~where:(List.rev !wheres)
-          ~order_by:[ Sb.asc result ]
-          [ Sb.proj result ];
-      ]
-  in
-  (q, Sb.params b)
+let chain =
+  {
+    Chain.table = (fun ~kind:_ _ -> Some "dewey");
+    labelled = true;
+    id = "label";
+    parent = "parent_label";
+    root = Sb.text "";
+    descendant =
+      Some
+        (fun ~anc d ->
+          (* descendant: label extends the ancestor's label *)
+          [ Sb.like (acol d "label") (Sb.concat (acol anc "label") (Sb.text ".%")) ]);
+    alias = "d";
+  }
 
 let query db ~doc (path : Xpathkit.Ast.path) : query_result =
   match Pathquery.analyze path with
   | None -> fallback_query ~reconstruct db ~doc path
   | Some simple ->
-    let q, params = traced_translate ~scheme:id (fun () -> translate ~doc simple) in
-    let sqls = ref [] and joins = ref 0 in
-    let labels = string_column (run_built db ~joins ~sqls ~params q) in
+    let labels, sql, joins = Chain.run chain ~scheme:id db ~doc simple string_column in
     {
       values = List.map (string_value_of_label db ~doc) labels;
       nodes = lazy (List.map (node_of_label db ~doc) labels);
-      sql = List.rev !sqls;
-      joins = !joins;
+      sql;
+      joins;
       fallback = false;
     }
 

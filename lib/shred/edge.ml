@@ -76,8 +76,6 @@ let shred_bulk session ~doc ix = shred_into (Db.session_insert session) ~doc ix
 (* ------------------------------------------------------------------ *)
 (* Reconstruction *)
 
-type row = { r_source : int; r_ordinal : int; r_kind : string; r_name : string; r_target : int; r_value : string }
-
 let fetch_all_edges db ~doc =
   let b = Sb.binder () in
   let q =
@@ -94,58 +92,16 @@ let fetch_all_edges db ~doc =
   List.map
     (fun row ->
       {
-        r_source = (match row.(0) with Value.Int i -> i | _ -> err "bad source");
-        r_ordinal = (match row.(1) with Value.Int i -> i | _ -> err "bad ordinal");
-        r_kind = Value.to_string row.(2);
-        r_name = (match row.(3) with Value.Null -> "" | v -> Value.to_string v);
-        r_target = (match row.(4) with Value.Int i -> i | _ -> err "bad target");
-        r_value = (match row.(5) with Value.Null -> "" | v -> Value.to_string v);
+        Tree.parent = (match row.(0) with Value.Int i -> i | _ -> err "bad source");
+        ordinal = (match row.(1) with Value.Int i -> i | _ -> err "bad ordinal");
+        kind = Value.to_string row.(2);
+        name = (match row.(3) with Value.Null -> "" | v -> Value.to_string v);
+        id = (match row.(4) with Value.Int i -> i | _ -> err "bad target");
+        value = (match row.(5) with Value.Null -> "" | v -> Value.to_string v);
       })
     r.Relstore.Executor.rows
 
-let build_tree rows_by_source target_row =
-  let rec build (r : row) : Dom.node =
-    match r.r_kind with
-    | "e" ->
-      let children = Option.value ~default:[] (Hashtbl.find_opt rows_by_source r.r_target) in
-      let children = List.sort (fun a b -> compare a.r_ordinal b.r_ordinal) children in
-      let attrs, content = List.partition (fun c -> c.r_kind = "a") children in
-      Dom.Element
-        {
-          Dom.tag = r.r_name;
-          attrs = List.map (fun a -> Dom.attr a.r_name a.r_value) attrs;
-          children = List.map build content;
-        }
-    | "t" -> Dom.Text r.r_value
-    | "c" -> Dom.Comment r.r_value
-    | "p" -> Dom.Pi { target = r.r_name; data = r.r_value }
-    | "a" -> Dom.Text r.r_value
-    | k -> err "unknown edge kind %s" k
-  in
-  build target_row
-
-let group_by_source rows =
-  let tbl = Hashtbl.create 256 in
-  List.iter
-    (fun r ->
-      let existing = Option.value ~default:[] (Hashtbl.find_opt tbl r.r_source) in
-      Hashtbl.replace tbl r.r_source (r :: existing))
-    rows;
-  tbl
-
-(* The document rebuilt from its edge rows; Binary rebuilds from the rows
-   of its partitions the same way. *)
-let document_of_rows ~doc rows =
-  let by_source = group_by_source rows in
-  match Option.value ~default:[] (Hashtbl.find_opt by_source 0) with
-  | [ root_row ] -> (
-    match build_tree by_source root_row with
-    | Dom.Element e -> Dom.document e
-    | _ -> err "root edge is not an element")
-  | [] -> err "document %d is not stored" doc
-  | _ -> err "document %d has multiple roots" doc
-
-let reconstruct db ~doc = document_of_rows ~doc (fetch_all_edges db ~doc)
+let reconstruct db ~doc = Tree.document ~doc ~top:0 (fetch_all_edges db ~doc)
 
 (* Subtree reconstruction for query results: per-node recursive fetch. The
    two query shapes are constant, so both plans cache after the first node. *)
@@ -215,124 +171,21 @@ let string_value_of_target db ~doc target =
 (* ------------------------------------------------------------------ *)
 (* Query translation *)
 
-(* Condition shorthands over the edge table. *)
+(* A named or wildcard child chain is one join-chain statement over the
+   edge table (see Chain). *)
+let chain =
+  {
+    Chain.table = (fun ~kind:_ _ -> Some "edge");
+    labelled = true;
+    id = "target";
+    parent = "source";
+    root = Sb.int 0;
+    descendant = None;
+    alias = "x";
+  }
+
 let kind_is a k = Sb.eq (acol a "kind") (Sb.text k)
 let child_of a parent = Sb.eq (acol a "source") (acol parent "target")
-
-(* Conditions for one step's predicates. [cur] is the alias whose .target
-   is the context element; [fresh] mints auxiliary aliases; [b] collects
-   parameter bindings; [pdoc] is the already-bound document id. Returns
-   (extra FROM aliases, extra WHERE conjuncts). *)
-let pred_sql ~b ~pdoc ~cur ~fresh (p : Pathquery.pred) =
-  let module P = Pathquery in
-  let on_doc a = Sb.eq (acol a "doc") pdoc in
-  let name_is a n = Sb.eq (acol a "name") (Sb.ptext b n) in
-  match p with
-  | P.Has_child c ->
-    let a = fresh () in
-    ([ a ], [ on_doc a; child_of a cur; kind_is a "e"; name_is a c ])
-  | P.Has_attr at ->
-    let a = fresh () in
-    ([ a ], [ on_doc a; child_of a cur; kind_is a "a"; name_is a at ])
-  | P.Attr_value (at, op, v) ->
-    let a = fresh () in
-    ( [ a ],
-      [
-        on_doc a; child_of a cur; kind_is a "a"; name_is a at;
-        Sb.cmp (P.cmp_binop op) (acol a "value") (Sb.ptext b v);
-      ] )
-  | P.Attr_number (at, op, v) ->
-    let a = fresh () in
-    ( [ a ],
-      [
-        on_doc a; child_of a cur; kind_is a "a"; name_is a at;
-        P.number_cond b op (acol a "value") v;
-      ] )
-  | P.Child_value (c, op, v) ->
-    let a = fresh () and t = fresh () in
-    ( [ a; t ],
-      [
-        on_doc a; child_of a cur; kind_is a "e"; name_is a c;
-        on_doc t; child_of t a; kind_is t "t";
-        Sb.cmp (P.cmp_binop op) (acol t "value") (Sb.ptext b v);
-      ] )
-  | P.Child_number (c, op, v) ->
-    let a = fresh () and t = fresh () in
-    ( [ a; t ],
-      [
-        on_doc a; child_of a cur; kind_is a "e"; name_is a c;
-        on_doc t; child_of t a; kind_is t "t";
-        P.number_cond b op (acol t "value") v;
-      ] )
-
-(* A pure named/wildcard child chain becomes a single join-chain SELECT.
-   Returns the query and its parameter bindings. *)
-let chain_query ~doc (simple : Pathquery.t) =
-  let module P = Pathquery in
-  let b = Sb.binder () in
-  let pdoc = Sb.pint b doc in
-  let counter = ref 0 in
-  let fresh () =
-    incr counter;
-    Printf.sprintf "x%d" !counter
-  in
-  let froms = ref [] and wheres = ref [] in
-  let add_from a = froms := a :: !froms in
-  let add_where w = wheres := w :: !wheres in
-  let prev = ref None in
-  List.iter
-    (fun (s : P.step) ->
-      assert (not s.P.desc);
-      let e = fresh () in
-      add_from e;
-      add_where (Sb.eq (acol e "doc") pdoc);
-      add_where (kind_is e "e");
-      (match s.P.test with
-      | P.Tag n -> add_where (Sb.eq (acol e "name") (Sb.ptext b n))
-      | P.Any_tag -> ());
-      (match !prev with
-      | None -> add_where (Sb.eq (acol e "source") (Sb.int 0))
-      | Some p -> add_where (child_of e p));
-      List.iter
-        (fun pr ->
-          let extra_from, extra_where = pred_sql ~b ~pdoc ~cur:e ~fresh pr in
-          List.iter add_from extra_from;
-          List.iter add_where extra_where)
-        s.P.preds;
-      prev := Some e)
-    simple.P.steps;
-  let last = match !prev with Some p -> p | None -> err "empty path" in
-  let result_alias =
-    match simple.P.tgt with
-    | P.Elements -> last
-    | P.Attr_of a ->
-      let at = fresh () in
-      add_from at;
-      add_where (Sb.eq (acol at "doc") pdoc);
-      add_where (child_of at last);
-      add_where (kind_is at "a");
-      add_where (Sb.eq (acol at "name") (Sb.ptext b a));
-      at
-    | P.Text_of ->
-      let tx = fresh () in
-      add_from tx;
-      add_where (Sb.eq (acol tx "doc") pdoc);
-      add_where (child_of tx last);
-      add_where (kind_is tx "t");
-      tx
-  in
-  let result = acol result_alias "target" in
-  let q =
-    Sb.query
-      [
-        Sb.select ~distinct:true
-          ~from:(List.rev_map (fun a -> Sb.from ~alias:a "edge") !froms)
-          ~where:(List.rev !wheres)
-          ~order_by:[ Sb.asc result ]
-          [ Sb.proj result ];
-      ]
-  in
-  (q, Sb.params b)
 
 (* Stepwise evaluation: paths with '//' run on Frontier, over frontiers of
    element ids ([Scheme] below). *)
@@ -420,16 +273,11 @@ let query db ~doc (path : Xpathkit.Ast.path) : query_result =
   | None -> fallback_query ~reconstruct db ~doc path
   | Some simple ->
     let targets, sqls, joins =
-      if Frontier.is_named_chain ~wildcards:true simple then begin
-        let q, params = traced_translate ~scheme:id (fun () -> chain_query ~doc simple) in
-        let sqls = ref [] and joins = ref 0 in
-        let r = run_built db ~joins ~sqls ~params q in
-        (int_column r, List.rev !sqls, !joins)
-      end
-      else begin
+      if Frontier.is_named_chain ~wildcards:true simple then
+        Chain.run chain ~scheme:id db ~doc simple int_column
+      else
         let answer, sqls = Frontier.stepwise (module Scheme) db ~doc simple in
         (Frontier.ids answer, sqls, 0)
-      end
     in
     {
       values = List.map (string_value_of_target db ~doc) targets;

@@ -165,7 +165,7 @@ module Dewey_updater : UPDATER = struct
   let id = "dewey"
 
   let labels db ~doc path =
-    let q, params = Dewey.translate ~doc (simple_of path) in
+    let q, params = Chain.compile Dewey.chain ~doc (simple_of path) in
     string_column (query_built db ~params q)
 
   let append_child db ~doc ~parent node =
@@ -260,7 +260,7 @@ module Interval_updater : UPDATER = struct
   let id = "interval"
 
   let pres db ~doc path =
-    let q, params = Interval.translate ~doc (simple_of path) in
+    let q, params = Chain.compile Interval.chain ~doc (simple_of path) in
     int_column (query_built db ~params q)
 
   let node_row db ~doc pre =

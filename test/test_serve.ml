@@ -1,7 +1,8 @@
-(* Tests for the embedded observability server: HTTP parser unit and
-   fuzz coverage (malformed input must map onto typed 4xx errors, never
-   an exception), plus an end-to-end fork test that serves a live store
-   on an ephemeral port and scrapes every endpoint over a real socket. *)
+(* Tests for the HTTP server: parser unit and fuzz coverage (malformed
+   input must map onto typed 4xx errors, never an exception), plus an
+   end-to-end fork test that serves a live store through a one-reader
+   pool on an ephemeral port and scrapes every observability endpoint
+   over a real socket. *)
 
 module Http = Servekit.Http
 module Server = Servekit.Server
@@ -202,7 +203,7 @@ let truncation_prop =
         QCheck.Test.fail_reportf "raised %s at cut %d" (Printexc.to_string ex) n)
 
 (* ------------------------------------------------------------------ *)
-(* End-to-end: serve a live store in a forked child, scrape it *)
+(* End-to-end: serve a live store's pool in a forked child, scrape it *)
 
 let expect_json body =
   match Json.parse body with
@@ -216,13 +217,13 @@ let test_serve_end_to_end () =
   Store.set_slow_threshold store (Some 0.0);
   ignore (Store.query store doc "/site/people/person/name");
   ignore (Store.query store doc "/site/regions/africa/item/name");
-  let server = Store.serve store in
+  let server = Storepool.Service.serve (Storepool.Pool.create ~readers:1 store) in
   let port = Server.port server in
   check_bool "ephemeral port bound" true (port > 0);
   match Unix.fork () with
   | 0 ->
     (* child: serve until killed; _exit avoids flushing shared buffers *)
-    (try Server.run server with _ -> ());
+    (try Server.run_parallel ~domains:1 server with _ -> ());
     Unix._exit 0
   | pid ->
     Fun.protect

@@ -302,6 +302,41 @@ let test_number_compare m () =
   check_strings "native !=" [ "p"; "s" ] (native_values dom "/r/a[@k != 3]");
   check_strings "native <" [ "q"; "s" ] (native_values dom "//a[@k < 10]")
 
+(* Join chains the random paths never produce. A label stored nowhere —
+   in a predicate, a step or the target — makes the answer empty; Binary,
+   whose tables are per label, answers it without running a statement.
+   A '//' step followed by a predicate and a child step is one statement
+   on the schemes with a descendant join (Interval, Dewey). *)
+let test_chain_edges m () =
+  let module M = (val m : Xmlshred.Mapping.MAPPING) in
+  let db, dom =
+    setup m
+      ~src:
+        "<r><a k=\"1\"><b>v</b><c>c1</c></a><x><a><b>v</b><c>c2</c><c>c3</c></a></x>\
+         <a><b>w</b><c>c4</c></a><a k=\"2\">t</a></r>"
+      ()
+  in
+  let translated = not (List.mem M.id [ "textblob"; "tokens" ]) in
+  let run q =
+    let r = M.query db ~doc:0 (Xpathkit.Parser.parse_path q) in
+    check_strings (M.id ^ ": " ^ q) (native_values dom q) r.Xmlshred.Mapping.values;
+    if translated then check_bool (M.id ^ " translates " ^ q) false r.Xmlshred.Mapping.fallback;
+    r
+  in
+  List.iter
+    (fun q ->
+      let r = run q in
+      if M.id = "binary" then Alcotest.(check int) (q ^ ": no statement") 0 (List.length r.Xmlshred.Mapping.sql))
+    [ "/r/a[zz]/b"; "/r/zz/b"; "/r/a/@zz" ];
+  List.iter
+    (fun q ->
+      let r = run q in
+      if List.mem M.id [ "interval"; "dewey" ] then
+        Alcotest.(check int) (q ^ ": one statement") 1 (List.length r.Xmlshred.Mapping.sql))
+    [ "//a[b='v']/c"; "/r//a[@k]/text()" ];
+  check_strings "native //a[b='v']/c" [ "c1"; "c2"; "c3" ] (native_values dom "//a[b='v']/c");
+  check_strings "native /r//a[@k]/text()" [ "t" ] (native_values dom "/r//a[@k]/text()")
+
 let mapping_cases m =
   let module M = (val m : Xmlshred.Mapping.MAPPING) in
   ( M.id,
@@ -313,6 +348,7 @@ let mapping_cases m =
       Alcotest.test_case "special characters" `Quick (test_special_chars m);
       Alcotest.test_case "high-byte text" `Quick (test_high_byte_text m);
       Alcotest.test_case "number comparisons" `Quick (test_number_compare m);
+      Alcotest.test_case "join chain edges" `Quick (test_chain_edges m);
       QCheck_alcotest.to_alcotest (roundtrip_prop m);
       QCheck_alcotest.to_alcotest (query_equiv_prop m);
       QCheck_alcotest.to_alcotest (random_path_prop m);
