@@ -24,7 +24,9 @@ let by_parent rows =
 let rec build children r : Dom.node =
   match r.kind with
   | "e" ->
-    let kids = List.sort (fun a b -> compare a.ordinal b.ordinal) (Hashtbl.find_all children r.id) in
+    let kids =
+      List.sort (fun a b -> compare a.ordinal b.ordinal) (Hashtbl.find_all children r.id)
+    in
     let attrs, content = List.partition (fun c -> c.kind = "a") kids in
     Dom.Element
       {
